@@ -90,14 +90,16 @@ val span_start : span -> int
 val span_end : span -> int
 (** -1 while the span is open. *)
 
-val span_is_open : span -> bool
-
 val span_rounds : span -> int
 (** [end - start]; 0 while open. *)
 
 val span_messages : span -> int
 val span_words : span -> int
 val span_peak_memory : span -> int
+
+val set_span_peak_memory : span -> int -> unit
+(** For engines that know a phase's peak only after the run: {!phase}
+    spans open with a peak of 0. *)
 
 val phase_breakdown : t -> total_rounds:int -> (string * int) list
 (** [(name, rounds)] rows partitioning [0, total_rounds): phase rows in

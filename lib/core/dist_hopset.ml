@@ -1,10 +1,8 @@
 open Dgraph
 open Hopsets
 
-(* Appendix B's upper stage, message-by-message. Two transport runs share
-   one engine (the Dist_scheme superstep machinery: BFS tree rooted at 0,
-   Advance/Done barriers, delta-encoded offers, root quiescence/budget
-   decisions, typed watchdog failures):
+(* Appendix B's upper stage, message-by-message: two runs of the
+   superstep engine ({!Superstep}), each with its own payloads and steps.
 
    Run A (construction) computes the wave fixpoints the hopset edge list is
    a pure function of ([Construct.fields]): one lexicographic (dist, src)
@@ -35,29 +33,37 @@ open Hopsets
    re-marking all entries dirty — a new Bellman-Ford iteration relaxes
    every current estimate, not only the last superstep's improvements. *)
 
-type msg =
-  | Bfs of { depth : int }
-  | Bfs_adopt
-  | Bfs_echo
-  | Offer of { key : int; dist : float }
+(* Run A's payload: a lexicographic or truncated wave offer. *)
+type offer = Offer of { key : int; dist : float }
+
+module PA = struct
+  type t = offer
+
+  let words (Offer _) = 3
+
+  module Sl = Congest.Slab
+
+  let slots = 3
+
+  let encode sl b (Offer { key; dist }) =
+    Sl.set sl b key;
+    Sl.set_float sl (b + 1) dist
+
+  let decode sl b = Offer { key = Sl.get sl b; dist = Sl.get_float sl (b + 1) }
+end
+
+(* Run B's payloads: attributed wave offers, relay hops along hopset-edge
+   paths, recovery triggers and recovery walks. *)
+type approx_msg =
   | Offer2 of { key : int; dist : float; origin : int }
   | Relay of { key : int; edge : int; dir : int; value : float; origin : int }
   | Rec_req of { key : int; edge : int; dir : int }
   | Rec of { key : int; edge : int; dir : int; acc : float }
-  | Done of { sent : int }
-  | Advance
-  | Next
 
-module M = struct
-  type t = msg
+module PB = struct
+  type t = approx_msg
 
-  let words = function
-    | Bfs_adopt | Bfs_echo | Advance | Next -> 1
-    | Bfs _ | Done _ -> 2
-    | Offer _ -> 3
-    | Offer2 _ | Rec_req _ -> 4
-    | Rec _ -> 5
-    | Relay _ -> 6
+  let words = function Offer2 _ | Rec_req _ -> 4 | Rec _ -> 5 | Relay _ -> 6
 
   module Sl = Congest.Slab
 
@@ -65,58 +71,40 @@ module M = struct
   let slots = 7
 
   let encode sl b = function
-    | Bfs { depth } ->
-      Sl.set sl b 0;
-      Sl.set sl (b + 1) depth
-    | Bfs_adopt -> Sl.set sl b 1
-    | Bfs_echo -> Sl.set sl b 2
-    | Offer { key; dist } ->
-      Sl.set sl b 3;
-      Sl.set sl (b + 1) key;
-      Sl.set_float sl (b + 2) dist
     | Offer2 { key; dist; origin } ->
-      Sl.set sl b 4;
+      Sl.set sl b 0;
       Sl.set sl (b + 1) key;
       Sl.set sl (b + 2) origin;
       Sl.set_float sl (b + 3) dist
     | Relay { key; edge; dir; value; origin } ->
-      Sl.set sl b 5;
+      Sl.set sl b 1;
       Sl.set sl (b + 1) key;
       Sl.set sl (b + 2) edge;
       Sl.set sl (b + 3) dir;
       Sl.set sl (b + 4) origin;
       Sl.set_float sl (b + 5) value
     | Rec_req { key; edge; dir } ->
-      Sl.set sl b 6;
+      Sl.set sl b 2;
       Sl.set sl (b + 1) key;
       Sl.set sl (b + 2) edge;
       Sl.set sl (b + 3) dir
     | Rec { key; edge; dir; acc } ->
-      Sl.set sl b 7;
+      Sl.set sl b 3;
       Sl.set sl (b + 1) key;
       Sl.set sl (b + 2) edge;
       Sl.set sl (b + 3) dir;
       Sl.set_float sl (b + 4) acc
-    | Done { sent } ->
-      Sl.set sl b 8;
-      Sl.set sl (b + 1) sent
-    | Advance -> Sl.set sl b 9
-    | Next -> Sl.set sl b 10
 
   let decode sl b =
     match Sl.get sl b with
-    | 0 -> Bfs { depth = Sl.get sl (b + 1) }
-    | 1 -> Bfs_adopt
-    | 2 -> Bfs_echo
-    | 3 -> Offer { key = Sl.get sl (b + 1); dist = Sl.get_float sl (b + 2) }
-    | 4 ->
+    | 0 ->
       Offer2
         {
           key = Sl.get sl (b + 1);
           origin = Sl.get sl (b + 2);
           dist = Sl.get_float sl (b + 3);
         }
-    | 5 ->
+    | 1 ->
       Relay
         {
           key = Sl.get sl (b + 1);
@@ -125,10 +113,10 @@ module M = struct
           origin = Sl.get sl (b + 4);
           value = Sl.get_float sl (b + 5);
         }
-    | 6 ->
+    | 2 ->
       Rec_req
         { key = Sl.get sl (b + 1); edge = Sl.get sl (b + 2); dir = Sl.get sl (b + 3) }
-    | 7 ->
+    | 3 ->
       Rec
         {
           key = Sl.get sl (b + 1);
@@ -136,27 +124,21 @@ module M = struct
           dir = Sl.get sl (b + 3);
           acc = Sl.get_float sl (b + 4);
         }
-    | 8 -> Done { sent = Sl.get sl (b + 1) }
-    | 9 -> Advance
-    | 10 -> Next
     | t -> invalid_arg (Printf.sprintf "Dist_hopset: corrupt tag %d" t)
 end
 
-module S = Congest.Sim.Make (M)
-module R = Congest.Reliable.Make (M)
+module EA = Superstep.Make (PA)
+module EB = Superstep.Make (PB)
 
-type transport = (module Congest.Sim.TRANSPORT with type msg = msg)
-
-(* shared fault-flag table with the exact-stage protocol *)
-type failure = Dist_scheme.failure =
+type failure = Superstep.failure =
   | Setup_timeout of { vertex : int; round : int }
   | Stalled of { vertex : int; round : int; phase : string; superstep : int }
   | Link_lost of { vertex : int; neighbor : int; reason : string }
   | Harvest of { vertex : int; reason : string }
   | Transport of string
 
-let failure_to_string = Dist_scheme.failure_to_string
-let pp_failure = Dist_scheme.pp_failure
+let failure_to_string = Superstep.failure_to_string
+let pp_failure = Superstep.pp_failure
 
 type outcome = {
   upper : Scheme.Upper_stage.t option;
@@ -190,91 +172,475 @@ type entry = {
   mutable dirty : bool;
 }
 
-type seg_kind = KWave | KRelay | KRecover | KFinal
-type seg = { sk : seg_kind; sbudget : int }
+let entry ?(port = -1) ?(origin = -1) ?(stamp = -1) ?(via_edge = -1) ?(via_dir = 0)
+    ?(joined = false) d =
+  { d; port; origin; stamp; via_edge; via_dir; joined; dirty = true }
 
-type approx_env = {
-  ak : int;
-  aih : int;
-  abeta : int;
-  one_eps : float;
-  xlv : int array;  (* exact hierarchy level per host vertex *)
-  inc : (int * int * float) list array;  (* vertex -> (edge, dir, weight) *)
-  succ : (int, int) Hashtbl.t array;  (* vertex -> (2*edge + dir) -> next *)
-}
+type construct_phase = Levels of int | Bunches of int
+type approx_phase = Pivots of int | Clusters of int
+type approx_seg = Wave | Hop | Recover | Final
 
-type stage =
-  | Fields of { flambda : int; hlv : int array (* hopset level, -1 off V' *) }
-  | Approx of approx_env
+let count f a = Array.fold_left (fun acc x -> if f x then acc + 1 else acc) 0 a
 
-type harvest = {
-  hl_dist : float array array;
-  hl_src : int array array;
-  bunch_local : (int * float) list array;
-  pe_dist : float array array;
-  pe_org : int array array;
-  cl_local : (int * float * int * bool) list array;
-}
+(* ---- run A: the construction waves behind [Construct.fields] ---- *)
 
-type phase_kind = HLevel of int | HBunch of int | APivot of int | ACluster of int
-type action = A_bfs_echo_check | A_decide | A_complete | A_watchdog
-
-let stage_phases = function
-  | Fields { flambda; _ } -> (flambda - 1) + flambda
-  | Approx a -> (a.ak - 1 - a.aih) + (a.ak - a.aih)
-
-let stage_kind stage p =
-  match stage with
-  | Fields { flambda; _ } ->
-    if p < flambda - 1 then HLevel (p + 1) else HBunch (p - (flambda - 1))
-  | Approx a ->
-    let np = a.ak - 1 - a.aih in
-    if p < np then APivot (a.aih + 1 + p) else ACluster (a.aih + (p - np))
-
-let stage_phase_name stage p =
-  if p < 0 then
-    match stage with
-    | Fields _ -> "hopset setup (BFS)"
-    | Approx _ -> "approx setup (BFS)"
-  else
-    match stage_kind stage p with
-    | HLevel j -> Printf.sprintf "hopset levels %d" j
-    | HBunch l -> Printf.sprintf "hopset bunches level %d" l
-    | APivot j -> Printf.sprintf "approx pivots level %d" j
-    | ACluster i -> Printf.sprintf "approx clusters level %d" i
-
-let stage_phase_detail stage p =
-  if p < 0 then ""
-  else
-    let count f a = Array.fold_left (fun acc x -> if f x then acc + 1 else acc) 0 a in
-    match (stage, stage_kind stage p) with
-    | Fields { hlv; _ }, HLevel j -> Printf.sprintf "|A^H_%d|=%d" j (count (fun l -> l >= j) hlv)
-    | Fields { hlv; _ }, HBunch l -> Printf.sprintf "|owners|=%d" (count (fun x -> x = l) hlv)
-    | Approx a, APivot j -> Printf.sprintf "|A_%d|=%d" j (count (fun l -> l >= j) a.xlv)
-    | Approx a, ACluster i -> Printf.sprintf "|owners|=%d" (count (fun l -> l = i) a.xlv)
-    | _ -> ""
-
-let stage_segs stage ~cap ~b p =
-  let iter_pair beta =
-    Array.init (2 * beta) (fun s ->
-        if s land 1 = 0 then { sk = KWave; sbudget = b }
-        else { sk = KRelay; sbudget = cap })
+let construct ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
+    g ~lambda ~hlv =
+  let n = Graph.n g in
+  let kinds =
+    Array.init ((lambda - 1) + lambda) (fun p ->
+        if p < lambda - 1 then Levels (p + 1) else Bunches (p - (lambda - 1)))
   in
-  match stage_kind stage p with
-  | HLevel _ | HBunch _ -> [| { sk = KWave; sbudget = cap } |]
-  | APivot _ ->
-    let a = (match stage with Approx a -> a | _ -> assert false) in
-    iter_pair a.abeta
-  | ACluster _ ->
-    let a = (match stage with Approx a -> a | _ -> assert false) in
-    Array.append (iter_pair a.abeta)
-      [| { sk = KRecover; sbudget = cap }; { sk = KFinal; sbudget = b } |]
+  let plan =
+    {
+      Superstep.setup = "hopset setup (BFS)";
+      names =
+        Array.map
+          (function
+            | Levels j -> Printf.sprintf "hopset levels %d" j
+            | Bunches l -> Printf.sprintf "hopset bunches level %d" l)
+          kinds;
+      details =
+        Array.map
+          (function
+            | Levels j -> Printf.sprintf "|A^H_%d|=%d" j (count (fun l -> l >= j) hlv)
+            | Bunches l -> Printf.sprintf "|owners|=%d" (count (fun x -> x = l) hlv))
+          kinds;
+      segments =
+        Array.map (fun _ -> [| { Superstep.kind = (); budget = (2 * n) + 4 } |]) kinds;
+    }
+  in
+  let hl_dist =
+    Array.init (lambda + 1) (fun j -> if j = 0 then [||] else Array.make n infinity)
+  in
+  let hl_src = Array.init (lambda + 1) (fun j -> if j = 0 then [||] else Array.make n (-1)) in
+  let bunch_local = Array.make n [] in
+  let steps v =
+    let me = EA.me v and weights = EA.weights v in
+    let p_dist = ref infinity and p_src = ref (-1) and p_port = ref (-1) in
+    let p_dirty = ref false in
+    let table : (int, entry) Hashtbl.t = Hashtbl.create 8 in
+    let my_hl = Array.make (lambda + 1) infinity in
+    {
+      Superstep.seed =
+        (fun () ->
+          match kinds.(EA.phase v) with
+          | Levels j ->
+            if hlv.(me) >= j then begin
+              p_dist := 0.0;
+              p_src := me;
+              p_port := -1;
+              p_dirty := true
+            end
+          | Bunches l -> if hlv.(me) = l then Hashtbl.add table me (entry ~origin:me 0.0));
+      seg_start = ignore;
+      snapshot =
+        (fun () ->
+          match kinds.(EA.phase v) with
+          | Levels _ ->
+            if !p_dirty then begin
+              p_dirty := false;
+              EA.send_all v ~except:!p_port (Offer { key = !p_src; dist = !p_dist })
+            end
+          | Bunches l ->
+            (* the superclustering pruning rule: forward an owner's entry
+               only while it lies under my own level field *)
+            Hashtbl.iter
+              (fun w e ->
+                if e.dirty then begin
+                  e.dirty <- false;
+                  if w = me || e.d < my_hl.(l + 1) then
+                    EA.send_all v ~except:e.port (Offer { key = w; dist = e.d })
+                end)
+              table);
+      data =
+        (fun port (Offer { key; dist }) ->
+          let nd = dist +. weights.(port) in
+          match kinds.(EA.phase v) with
+          | Levels _ ->
+            (* lexicographic (dist, src): the unique order-independent
+               fixpoint equals Sssp.dijkstra_sources bit-for-bit *)
+            if nd < !p_dist || (nd = !p_dist && key < !p_src) then begin
+              p_dist := nd;
+              p_src := key;
+              p_port := port;
+              p_dirty := true
+            end
+          | Bunches _ -> (
+            match Hashtbl.find_opt table key with
+            | Some e ->
+              if nd < e.d then begin
+                e.d <- nd;
+                e.port <- port;
+                e.dirty <- true
+              end
+            | None -> Hashtbl.add table key (entry ~port nd)));
+      seg_end = ignore;
+      phase_end =
+        (fun () ->
+          match kinds.(EA.phase v) with
+          | Levels j ->
+            hl_dist.(j).(me) <- !p_dist;
+            hl_src.(j).(me) <- !p_src;
+            my_hl.(j) <- !p_dist;
+            p_dist := infinity;
+            p_src := -1;
+            p_port := -1;
+            p_dirty := false
+          | Bunches _ ->
+            Hashtbl.iter (fun w e -> bunch_local.(me) <- (w, e.d) :: bunch_local.(me)) table;
+            Hashtbl.reset table);
+      words = (fun () -> 16 + Array.length my_hl + (8 * Hashtbl.length table));
+    }
+  in
+  let res =
+    EA.run ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains g plan steps
+  in
+  (res, hl_dist, hl_src, bunch_local)
+
+(* ---- run B: approximate pivots and cluster waves over G' ∪ H ---- *)
+
+let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
+    g ~k ~ih ~beta ~epsilon ~b ~xlevels (edges : Hopset.edge array) =
+  let n = Graph.n g in
+  let one_eps = 1.0 +. epsilon in
+  (* relay tables: per-vertex incident hopset edges (edge, dir, weight) and
+     next hops along the stored paths, keyed 2*edge + dir *)
+  let inc = Array.make n [] in
+  let succ = Array.init n (fun _ -> Hashtbl.create 2) in
+  Array.iteri
+    (fun i (e : Hopset.edge) ->
+      inc.(e.x) <- (i, 0, e.w) :: inc.(e.x);
+      inc.(e.y) <- (i, 1, e.w) :: inc.(e.y);
+      let p = e.path in
+      let l = Array.length p in
+      for j = 0 to l - 1 do
+        if j < l - 1 then Hashtbl.replace succ.(p.(j)) ((2 * i) + 0) p.(j + 1);
+        if j > 0 then Hashtbl.replace succ.(p.(j)) ((2 * i) + 1) p.(j - 1)
+      done)
+    edges;
+  let np = k - 1 - ih in
+  let kinds =
+    Array.init (np + (k - ih)) (fun p ->
+        if p < np then Pivots (ih + 1 + p) else Clusters (ih + (p - np)))
+  in
+  let cap = (2 * n) + 4 in
+  (* beta iterations of a B-budget host wave then a relay segment *)
+  let iterations =
+    Array.init (2 * beta) (fun s ->
+        if s land 1 = 0 then { Superstep.kind = Wave; budget = b }
+        else { Superstep.kind = Hop; budget = cap })
+  in
+  let plan =
+    {
+      Superstep.setup = "approx setup (BFS)";
+      names =
+        Array.map
+          (function
+            | Pivots j -> Printf.sprintf "approx pivots level %d" j
+            | Clusters i -> Printf.sprintf "approx clusters level %d" i)
+          kinds;
+      details =
+        Array.map
+          (function
+            | Pivots j -> Printf.sprintf "|A_%d|=%d" j (count (fun l -> l >= j) xlevels)
+            | Clusters i -> Printf.sprintf "|owners|=%d" (count (fun l -> l = i) xlevels))
+          kinds;
+      segments =
+        Array.map
+          (function
+            | Pivots _ -> iterations
+            | Clusters _ ->
+              Array.append iterations
+                [|
+                  { Superstep.kind = Recover; budget = cap };
+                  { Superstep.kind = Final; budget = b };
+                |])
+          kinds;
+    }
+  in
+  let pe_dist = Array.init k (fun _ -> Array.make n infinity) in
+  let pe_org = Array.init k (fun _ -> Array.make n (-1)) in
+  let cl_local = Array.make n [] in
+  let steps v =
+    let me = EB.me v and neighbors = EB.neighbors v and weights = EB.weights v in
+    let port_of : (int, int) Hashtbl.t = Hashtbl.create (max 1 (Array.length neighbors)) in
+    Array.iteri (fun p u -> Hashtbl.replace port_of u p) neighbors;
+    let q_dist = ref infinity
+    and q_org = ref (-1)
+    and q_port = ref (-1)
+    and q_stamp = ref (-1)
+    and q_dirty = ref false in
+    let table : (int, entry) Hashtbl.t = Hashtbl.create 8 in
+    let my_dhat = Array.make (k + 1) infinity in
+    let relay_prop : (int, float * int * int * int) Hashtbl.t = Hashtbl.create 4 in
+    let rec_prop : (int, float * int) Hashtbl.t = Hashtbl.create 4 in
+    let rec0 : (int, float) Hashtbl.t = Hashtbl.create 4 in
+    let pending : (int * approx_msg) list ref = ref [] in
+    let relay_words = (3 * List.length inc.(me)) + (2 * Hashtbl.length succ.(me)) in
+    let fwd_pending ei dir m =
+      match Hashtbl.find_opt succ.(me) ((2 * ei) + dir) with
+      | Some nxt -> (
+        match Hashtbl.find_opt port_of nxt with
+        | Some p -> pending := (p, m) :: !pending
+        | None -> EB.abort v (Printf.sprintf "relay next hop %d not adjacent" nxt))
+      | None -> ()
+    in
+    let has_succ ei dir = Hashtbl.mem succ.(me) ((2 * ei) + dir) in
+    {
+      Superstep.seed =
+        (fun () ->
+          match kinds.(EB.phase v) with
+          | Pivots j ->
+            if xlevels.(me) >= j then begin
+              q_dist := 0.0;
+              q_org := me;
+              q_port := -1;
+              q_stamp := -1;
+              q_dirty := true
+            end
+          | Clusters i -> if xlevels.(me) = i then Hashtbl.add table me (entry ~origin:me 0.0));
+      seg_start =
+        (function
+          | Wave | Final -> (
+            (* a fresh Bellman-Ford iteration relaxes every current estimate *)
+            match kinds.(EB.phase v) with
+            | Pivots _ -> if !q_dist < infinity then q_dirty := true
+            | Clusters _ -> Hashtbl.iter (fun _ e -> e.dirty <- true) table)
+          | Hop -> (
+            (* Jacobi step: every admissible endpoint launches its post-wave
+               snapshot value along each incident hopset edge *)
+            match kinds.(EB.phase v) with
+            | Pivots _ ->
+              if !q_dist < infinity then
+                List.iter
+                  (fun (ei, dir, w) ->
+                    fwd_pending ei dir
+                      (Relay { key = 0; edge = ei; dir; value = !q_dist +. w; origin = !q_org }))
+                  inc.(me)
+            | Clusters i ->
+              Hashtbl.iter
+                (fun w e ->
+                  if e.d < infinity && (w = me || e.d *. one_eps *. one_eps < my_dhat.(i + 1))
+                  then
+                    List.iter
+                      (fun (ei, dir, ew) ->
+                        fwd_pending ei dir
+                          (Relay { key = w; edge = ei; dir; value = e.d +. ew; origin = -1 }))
+                      inc.(me))
+                table)
+          | Recover -> (
+            (* snapshot candidates, then trigger a walk for every entry the
+               hopset fed within the virtual limit (Claim 9's premise) *)
+            Hashtbl.reset rec0;
+            Hashtbl.iter (fun w e -> Hashtbl.replace rec0 w e.d) table;
+            match kinds.(EB.phase v) with
+            | Clusters i ->
+              Hashtbl.iter
+                (fun w e ->
+                  if
+                    e.via_edge >= 0 && e.d < infinity
+                    && e.d *. one_eps *. one_eps < my_dhat.(i + 1)
+                  then
+                    fwd_pending e.via_edge (1 - e.via_dir)
+                      (Rec_req { key = w; edge = e.via_edge; dir = e.via_dir }))
+                table
+            | Pivots _ -> ()));
+      (* barrier snapshot: wave segments offer dirty entries (subject to the
+         forwarding predicate), relay/recovery segments flush the one-hop
+         forwards accumulated since the previous barrier *)
+      snapshot =
+        (function
+          | Wave | Final -> (
+            match kinds.(EB.phase v) with
+            | Pivots _ ->
+              if !q_dirty then begin
+                q_dirty := false;
+                EB.send_all v ~except:!q_port
+                  (Offer2 { key = 0; dist = !q_dist; origin = !q_org })
+              end
+            | Clusters i ->
+              Hashtbl.iter
+                (fun w e ->
+                  if e.dirty then begin
+                    e.dirty <- false;
+                    if w = me || e.d *. one_eps < my_dhat.(i + 1) then
+                      EB.send_all v ~except:e.port
+                        (Offer2 { key = w; dist = e.d; origin = e.origin })
+                  end)
+                table)
+          | Hop | Recover ->
+            let ps = !pending in
+            pending := [];
+            List.iter (fun (p, m) -> EB.send v p m) ps);
+      data =
+        (fun port m ->
+          match m with
+          | Offer2 { key; dist; origin } -> (
+            let nd = dist +. weights.(port) in
+            let sender = neighbors.(port) in
+            let ss_id = EB.superstep_id v in
+            (* stamped commit: within one superstep an equal value from a
+               smaller sender displaces; across supersteps only strict < *)
+            match kinds.(EB.phase v) with
+            | Pivots _ ->
+              if
+                nd < !q_dist
+                || (nd = !q_dist && !q_stamp = ss_id && !q_port >= 0
+                   && sender < neighbors.(!q_port))
+              then begin
+                q_dist := nd;
+                q_org := origin;
+                q_port := port;
+                q_stamp := ss_id;
+                q_dirty := true
+              end
+            | Clusters _ -> (
+              match Hashtbl.find_opt table key with
+              | Some e ->
+                if
+                  nd < e.d
+                  || (nd = e.d && e.stamp = ss_id && e.port >= 0
+                     && sender < neighbors.(e.port))
+                then begin
+                  e.d <- nd;
+                  e.port <- port;
+                  e.origin <- origin;
+                  e.stamp <- ss_id;
+                  e.via_edge <- -1;
+                  e.joined <- false;
+                  e.dirty <- true
+                end
+              | None -> Hashtbl.add table key (entry ~port ~origin ~stamp:ss_id nd)))
+          | Relay { key; edge; dir; value; origin } ->
+            if has_succ edge dir then fwd_pending edge dir m
+            else begin
+              (* destination endpoint: buffer, committed at the segment
+                 barrier by lex-min (value, edge) — the Jacobi tie-break *)
+              match Hashtbl.find_opt relay_prop key with
+              | Some (v0, e0, _, _) when (v0, e0) <= (value, edge) -> ()
+              | _ -> Hashtbl.replace relay_prop key (value, edge, dir, origin)
+            end
+          | Rec_req { key; edge; dir } ->
+            if has_succ edge (1 - dir) then fwd_pending edge (1 - dir) m
+            else begin
+              (* feeding endpoint: start the accumulating walk from my own
+                 pre-recovery candidate *)
+              let acc =
+                match Hashtbl.find_opt rec0 key with Some d -> d | None -> infinity
+              in
+              fwd_pending edge dir (Rec { key; edge; dir; acc })
+            end
+          | Rec { key; edge; dir; acc } ->
+            let acc' = acc +. weights.(port) in
+            let prev = neighbors.(port) in
+            let cd0 =
+              match Hashtbl.find_opt rec0 key with Some d -> d | None -> infinity
+            in
+            (* <= with tolerance: the endpoint's candidate ties its recorded
+               estimate and must still acquire a parent on the path *)
+            if acc' <= cd0 +. (1e-9 *. (1.0 +. abs_float cd0)) then begin
+              match Hashtbl.find_opt rec_prop key with
+              | Some (a0, p0) when (a0, p0) <= (acc', prev) -> ()
+              | _ -> Hashtbl.replace rec_prop key (acc', prev)
+            end;
+            if has_succ edge dir then fwd_pending edge dir (Rec { key; edge; dir; acc = acc' }));
+      (* proposals buffered during a relay/recovery segment commit at the
+         barrier that closes it — all derived from the same snapshot, so the
+         result is independent of arrival order *)
+      seg_end =
+        (function
+          | Wave | Final -> ()
+          | Hop ->
+            (match kinds.(EB.phase v) with
+            | Pivots _ ->
+              Hashtbl.iter
+                (fun _ (x, _, _, o) ->
+                  if x < !q_dist then begin
+                    q_dist := x;
+                    q_org := o;
+                    q_port := -1;
+                    q_dirty := true
+                  end)
+                relay_prop
+            | Clusters _ ->
+              Hashtbl.iter
+                (fun w (x, ei, dir, _) ->
+                  match Hashtbl.find_opt table w with
+                  | Some e ->
+                    if x < e.d then begin
+                      e.d <- x;
+                      e.port <- -1;
+                      e.via_edge <- ei;
+                      e.via_dir <- dir;
+                      e.joined <- false;
+                      e.dirty <- true
+                    end
+                  | None -> Hashtbl.add table w (entry ~via_edge:ei ~via_dir:dir x))
+                relay_prop);
+            Hashtbl.reset relay_prop;
+            pending := []
+          | Recover ->
+            Hashtbl.iter
+              (fun w (acc, prev) ->
+                if acc < infinity then begin
+                  let e =
+                    match Hashtbl.find_opt table w with
+                    | Some e -> e
+                    | None ->
+                      let e = entry infinity in
+                      Hashtbl.add table w e;
+                      e
+                  in
+                  e.d <- Float.min acc e.d;
+                  (match Hashtbl.find_opt port_of prev with
+                  | Some p -> e.port <- p
+                  | None -> EB.abort v (Printf.sprintf "recovery parent %d not adjacent" prev));
+                  e.via_edge <- -1;
+                  e.joined <- true;
+                  e.dirty <- true
+                end)
+              rec_prop;
+            Hashtbl.reset rec_prop;
+            Hashtbl.reset rec0;
+            pending := []);
+      phase_end =
+        (fun () ->
+          match kinds.(EB.phase v) with
+          | Pivots j ->
+            pe_dist.(j).(me) <- !q_dist;
+            pe_org.(j).(me) <- !q_org;
+            my_dhat.(j) <- !q_dist;
+            q_dist := infinity;
+            q_org := -1;
+            q_port := -1;
+            q_stamp := -1;
+            q_dirty := false
+          | Clusters _ ->
+            Hashtbl.iter
+              (fun w e ->
+                cl_local.(me) <-
+                  (w, e.d, (if e.port >= 0 then neighbors.(e.port) else -1), e.joined)
+                  :: cl_local.(me))
+              table;
+            Hashtbl.reset table);
+      words =
+        (fun () ->
+          16 + Array.length my_dhat + relay_words
+          + (8 * Hashtbl.length table)
+          + (4 * Hashtbl.length relay_prop)
+          + (2 * Hashtbl.length rec_prop)
+          + (2 * Hashtbl.length rec0)
+          + (5 * List.length !pending));
+    }
+  in
+  let res =
+    EB.run ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains g plan steps
+  in
+  (res, pe_dist, pe_org, cl_local)
 
 let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
     ?max_rounds ?scheduler ?domains g (ds : Dist_scheme.outcome) =
-  let use_reliable =
-    match reliable with Some b -> b | None -> Option.is_some faults
-  in
   let n = Graph.n g in
   let exact = ds.Dist_scheme.exact in
   let k = exact.Scheme.Exact_stage.k in
@@ -296,813 +662,17 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
   let hlevels = Construct.sample_levels ~rng ~lambda ~m in
   let hlv = Array.make n (-1) in
   Array.iteri (fun j v -> hlv.(v) <- hlevels.(j)) mv;
-  let cap = (2 * n) + 4 in
-  let watchdog_interval =
-    let base = (4 * n) + 64 in
-    if use_reliable then
-      let cfg =
-        match config with Some c -> c | None -> Congest.Reliable.default_config
-      in
-      max base (Congest.Reliable.retransmission_budget cfg + 64)
-    else base
-  in
-  let h =
-    {
-      hl_dist =
-        Array.init (lambda + 1) (fun j ->
-            if j = 0 then [||] else Array.make n infinity);
-      hl_src =
-        Array.init (lambda + 1) (fun j -> if j = 0 then [||] else Array.make n (-1));
-      bunch_local = Array.make n [];
-      pe_dist = Array.init k (fun _ -> Array.make n infinity);
-      pe_org = Array.init k (fun _ -> Array.make n (-1));
-      cl_local = Array.make n [];
-    }
-  in
-  let fail_slots : failure list array = Array.make n [] in
-  let fail_at v f = fail_slots.(v) <- f :: fail_slots.(v) in
   let post : failure list ref = ref [] in
-  let gathered_failures () =
-    let per_vertex =
-      Array.fold_right (fun fs acc -> List.rev_append fs acc) fail_slots []
-    in
-    List.rev !post @ per_vertex
+  let harvest vertex reason = post := Harvest { vertex; reason } :: !post in
+  let res_a, hl_dist, hl_src, bunch_local =
+    construct ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains g
+      ~lambda ~hlv
   in
-  let all_marks : (string * string * int * int) list ref = ref [] in
-
-  (* ---- the superstep engine, shared by both stages ---- *)
-  let exec stage =
-    let n_phases = stage_phases stage in
-    let segs_of = stage_segs stage ~cap ~b in
-    let phase_peak = Array.init (n_phases + 1) (fun _ -> Atomic.make 0) in
-    let rec peak_max cell v =
-      let cur = Atomic.get cell in
-      if v > cur && not (Atomic.compare_and_set cell cur v) then peak_max cell v
-    in
-    let phase_marks = ref [] in
-    let node ((module T) : transport) ~me ~(neighbors : int array)
-        ~(weights : float array) =
-      let deg = Array.length neighbors in
-      let is_root = me = 0 in
-      let port_of : (int, int) Hashtbl.t = Hashtbl.create (max 1 deg) in
-      Array.iteri (fun p u -> Hashtbl.replace port_of u p) neighbors;
-      let phase_trace name =
-        if is_root then
-          match trace with Some tr -> Congest.Trace.phase tr name | None -> ()
-      in
-      let phase_trace_end () =
-        if is_root then
-          match trace with Some tr -> Congest.Trace.phase_end tr | None -> ()
-      in
-      (* ---- BFS setup state ---- *)
-      let bfs_parent_port = ref (-1)
-      and bfs_children = ref 0
-      and echoes = ref 0 in
-      let is_child = Array.make (max 1 deg) false in
-      (* ---- superstep engine state ---- *)
-      let phase = ref (-1)
-      and seg = ref 0
-      and cur_segs = ref [||]
-      and superstep = ref 0
-      and ss_id = ref 0
-      and in_superstep = ref false
-      and done_sent = ref false
-      and done_children = ref 0
-      and children_sent = ref 0
-      and own_sent = ref 0
-      and phase_start = ref 0
-      and finished = ref false
-      and last_drain = ref (-1)
-      and last_progress = ref 0 in
-      (* ---- wave state ---- *)
-      let p_dist = ref infinity and p_src = ref (-1) and p_port = ref (-1) in
-      let p_dirty = ref false in
-      let q_dist = ref infinity
-      and q_org = ref (-1)
-      and q_port = ref (-1)
-      and q_stamp = ref (-1)
-      and q_dirty = ref false in
-      let table : (int, entry) Hashtbl.t = Hashtbl.create 8 in
-      let my_hl =
-        match stage with
-        | Fields { flambda; _ } -> Array.make (flambda + 1) infinity
-        | Approx _ -> [||]
-      in
-      let my_dhat =
-        match stage with
-        | Approx a -> Array.make (a.ak + 1) infinity
-        | Fields _ -> [||]
-      in
-      let relay_prop : (int, float * int * int * int) Hashtbl.t = Hashtbl.create 4 in
-      let rec_prop : (int, float * int) Hashtbl.t = Hashtbl.create 4 in
-      let rec0 : (int, float) Hashtbl.t = Hashtbl.create 4 in
-      let pending : (int * msg) list ref = ref [] in
-      let queues : msg Queue.t array =
-        Array.init (max 1 deg) (fun _ -> Queue.create ())
-      in
-      let total_queued = ref 0 in
-      let agenda = ref [] in
-      let schedule r a =
-        let rec ins = function
-          | [] -> [ (r, a) ]
-          | (r', _) :: _ as l when r < r' -> (r, a) :: l
-          | x :: rest -> x :: ins rest
-        in
-        agenda := ins !agenda
-      in
-      let ctrl_round = ref (-1) in
-      let ctrl = Array.make (max 1 deg) 0 in
-      let note_send p =
-        if !ctrl_round <> T.round () then begin
-          ctrl_round := T.round ();
-          Array.fill ctrl 0 (Array.length ctrl) 0
-        end;
-        ctrl.(p) <- ctrl.(p) + 1
-      in
-      let port_used p = if !ctrl_round = T.round () then ctrl.(p) else 0 in
-      let send_ctrl p m =
-        note_send p;
-        T.send p m
-      in
-      let bc_down m =
-        for p = 0 to deg - 1 do
-          if is_child.(p) then send_ctrl p m
-        done
-      in
-      let relay_words =
-        match stage with
-        | Approx a -> (3 * List.length a.inc.(me)) + (2 * Hashtbl.length a.succ.(me))
-        | Fields _ -> 0
-      in
-      let update_mem () =
-        let words =
-          16 + Array.length my_hl + Array.length my_dhat + relay_words
-          + (8 * Hashtbl.length table)
-          + (2 * !total_queued)
-          + (4 * Hashtbl.length relay_prop)
-          + (2 * Hashtbl.length rec_prop)
-          + (2 * Hashtbl.length rec0)
-          + (5 * List.length !pending)
-        in
-        T.set_memory words;
-        let idx = min n_phases (!phase + 1) in
-        peak_max phase_peak.(idx) words
-      in
-      let enqueue_all ~except m =
-        for p = 0 to deg - 1 do
-          if p <> except then begin
-            Queue.add m queues.(p);
-            incr total_queued;
-            incr own_sent
-          end
-        done
-      in
-      let enqueue_at p m =
-        Queue.add m queues.(p);
-        incr total_queued;
-        incr own_sent
-      in
-      let cluster_keep w d =
-        match stage with
-        | Approx a ->
-          let i = match stage_kind stage !phase with ACluster i -> i | _ -> assert false in
-          w = me || d *. a.one_eps < my_dhat.(i + 1)
-        | Fields _ -> assert false
-      in
-      (* barrier snapshot: wave segments offer dirty entries (subject to the
-         forwarding predicate), relay/recovery segments flush the one-hop
-         forwards accumulated since the previous barrier *)
-      let snapshot () =
-        in_superstep := true;
-        done_sent := false;
-        done_children := 0;
-        children_sent := 0;
-        own_sent := 0;
-        incr ss_id;
-        match (!cur_segs).(!seg).sk with
-        | KWave | KFinal -> (
-          match stage_kind stage !phase with
-          | HLevel _ ->
-            if !p_dirty then begin
-              p_dirty := false;
-              enqueue_all ~except:!p_port (Offer { key = !p_src; dist = !p_dist })
-            end
-          | HBunch l ->
-            Hashtbl.iter
-              (fun w e ->
-                if e.dirty then begin
-                  e.dirty <- false;
-                  if w = me || e.d < my_hl.(l + 1) then
-                    enqueue_all ~except:e.port (Offer { key = w; dist = e.d })
-                end)
-              table
-          | APivot _ ->
-            if !q_dirty then begin
-              q_dirty := false;
-              enqueue_all ~except:!q_port
-                (Offer2 { key = 0; dist = !q_dist; origin = !q_org })
-            end
-          | ACluster _ ->
-            Hashtbl.iter
-              (fun w e ->
-                if e.dirty then begin
-                  e.dirty <- false;
-                  if cluster_keep w e.d then
-                    enqueue_all ~except:e.port
-                      (Offer2 { key = w; dist = e.d; origin = e.origin })
-                end)
-              table)
-        | KRelay | KRecover ->
-          let ps = !pending in
-          pending := [];
-          List.iter (fun (p, msg) -> enqueue_at p msg) ps
-      in
-      let fwd_pending ei dir m =
-        match stage with
-        | Approx a -> (
-          match Hashtbl.find_opt a.succ.(me) ((2 * ei) + dir) with
-          | Some nxt -> (
-            match Hashtbl.find_opt port_of nxt with
-            | Some p -> pending := (p, m) :: !pending
-            | None ->
-              fail_at me
-                (Harvest { vertex = me; reason = Printf.sprintf "relay next hop %d not adjacent" nxt });
-              finished := true)
-          | None -> ())
-        | Fields _ -> ()
-      in
-      let has_succ ei dir =
-        match stage with
-        | Approx a -> Hashtbl.mem a.succ.(me) ((2 * ei) + dir)
-        | Fields _ -> false
-      in
-      let seg_start () =
-        match (!cur_segs).(!seg).sk with
-        | KWave | KFinal -> (
-          (* a fresh Bellman-Ford iteration relaxes every current estimate *)
-          match stage_kind stage !phase with
-          | HLevel _ | HBunch _ -> ()
-          | APivot _ -> if !q_dist < infinity then q_dirty := true
-          | ACluster _ -> Hashtbl.iter (fun _ e -> e.dirty <- true) table)
-        | KRelay -> (
-          (* Jacobi step: every admissible endpoint launches its post-wave
-             snapshot value along each incident hopset edge *)
-          match (stage, stage_kind stage !phase) with
-          | Approx a, APivot _ ->
-            if !q_dist < infinity then
-              List.iter
-                (fun (ei, dir, w) ->
-                  fwd_pending ei dir
-                    (Relay { key = 0; edge = ei; dir; value = !q_dist +. w; origin = !q_org }))
-                a.inc.(me)
-          | Approx a, ACluster i ->
-            Hashtbl.iter
-              (fun w e ->
-                if
-                  e.d < infinity
-                  && (w = me || e.d *. a.one_eps *. a.one_eps < my_dhat.(i + 1))
-                then
-                  List.iter
-                    (fun (ei, dir, ew) ->
-                      fwd_pending ei dir
-                        (Relay { key = w; edge = ei; dir; value = e.d +. ew; origin = -1 }))
-                    a.inc.(me))
-              table
-          | _ -> ())
-        | KRecover -> (
-          (* snapshot candidates, then trigger a walk for every entry the
-             hopset fed within the virtual limit (Claim 9's premise) *)
-          Hashtbl.reset rec0;
-          Hashtbl.iter (fun w e -> Hashtbl.replace rec0 w e.d) table;
-          match (stage, stage_kind stage !phase) with
-          | Approx a, ACluster i ->
-            Hashtbl.iter
-              (fun w e ->
-                if
-                  e.via_edge >= 0 && e.d < infinity
-                  && e.d *. a.one_eps *. a.one_eps < my_dhat.(i + 1)
-                then
-                  fwd_pending e.via_edge (1 - e.via_dir)
-                    (Rec_req { key = w; edge = e.via_edge; dir = e.via_dir }))
-              table
-          | _ -> ())
-      in
-      (* proposals buffered during a relay/recovery segment commit at the
-         barrier that closes it — all derived from the same snapshot, so the
-         result is independent of arrival order *)
-      let finalize_seg () =
-        match (!cur_segs).(!seg).sk with
-        | KWave | KFinal -> ()
-        | KRelay ->
-          (match stage_kind stage !phase with
-          | APivot _ ->
-            Hashtbl.iter
-              (fun _ (v, _, _, o) ->
-                if v < !q_dist then begin
-                  q_dist := v;
-                  q_org := o;
-                  q_port := -1;
-                  q_dirty := true
-                end)
-              relay_prop
-          | ACluster _ ->
-            Hashtbl.iter
-              (fun w (v, ei, dir, _) ->
-                match Hashtbl.find_opt table w with
-                | Some e ->
-                  if v < e.d then begin
-                    e.d <- v;
-                    e.port <- -1;
-                    e.via_edge <- ei;
-                    e.via_dir <- dir;
-                    e.joined <- false;
-                    e.dirty <- true
-                  end
-                | None ->
-                  Hashtbl.add table w
-                    {
-                      d = v;
-                      port = -1;
-                      origin = -1;
-                      stamp = -1;
-                      via_edge = ei;
-                      via_dir = dir;
-                      joined = false;
-                      dirty = true;
-                    })
-              relay_prop
-          | _ -> ());
-          Hashtbl.reset relay_prop;
-          pending := []
-        | KRecover ->
-          Hashtbl.iter
-            (fun w (acc, prev) ->
-              if acc < infinity then begin
-                let e =
-                  match Hashtbl.find_opt table w with
-                  | Some e -> e
-                  | None ->
-                    let e =
-                      {
-                        d = infinity;
-                        port = -1;
-                        origin = -1;
-                        stamp = -1;
-                        via_edge = -1;
-                        via_dir = 0;
-                        joined = false;
-                        dirty = true;
-                      }
-                    in
-                    Hashtbl.add table w e;
-                    e
-                in
-                e.d <- Float.min acc e.d;
-                (match Hashtbl.find_opt port_of prev with
-                | Some p -> e.port <- p
-                | None ->
-                  fail_at me
-                    (Harvest { vertex = me; reason = Printf.sprintf "recovery parent %d not adjacent" prev });
-                  finished := true);
-                e.via_edge <- -1;
-                e.joined <- true;
-                e.dirty <- true
-              end)
-            rec_prop;
-          Hashtbl.reset rec_prop;
-          Hashtbl.reset rec0;
-          pending := []
-      in
-      let finalize_phase () =
-        match stage_kind stage !phase with
-        | HLevel j ->
-          h.hl_dist.(j).(me) <- !p_dist;
-          h.hl_src.(j).(me) <- !p_src;
-          my_hl.(j) <- !p_dist;
-          p_dist := infinity;
-          p_src := -1;
-          p_port := -1;
-          p_dirty := false
-        | HBunch _ ->
-          Hashtbl.iter
-            (fun w e -> h.bunch_local.(me) <- (w, e.d) :: h.bunch_local.(me))
-            table;
-          Hashtbl.reset table
-        | APivot j ->
-          h.pe_dist.(j).(me) <- !q_dist;
-          h.pe_org.(j).(me) <- !q_org;
-          my_dhat.(j) <- !q_dist;
-          q_dist := infinity;
-          q_org := -1;
-          q_port := -1;
-          q_stamp := -1;
-          q_dirty := false
-        | ACluster _ ->
-          Hashtbl.iter
-            (fun w e ->
-              h.cl_local.(me) <-
-                (w, e.d, (if e.port >= 0 then neighbors.(e.port) else -1), e.joined)
-                :: h.cl_local.(me))
-            table;
-          Hashtbl.reset table
-      in
-      let seed_phase () =
-        let mk d =
-          {
-            d;
-            port = -1;
-            origin = me;
-            stamp = -1;
-            via_edge = -1;
-            via_dir = 0;
-            joined = false;
-            dirty = true;
-          }
-        in
-        match (stage, stage_kind stage !phase) with
-        | Fields { hlv; _ }, HLevel j ->
-          if hlv.(me) >= j then begin
-            p_dist := 0.0;
-            p_src := me;
-            p_port := -1;
-            p_dirty := true
-          end
-        | Fields { hlv; _ }, HBunch l ->
-          if hlv.(me) = l then Hashtbl.add table me (mk 0.0)
-        | Approx a, APivot j ->
-          if a.xlv.(me) >= j then begin
-            q_dist := 0.0;
-            q_org := me;
-            q_port := -1;
-            q_stamp := -1;
-            q_dirty := true
-          end
-        | Approx a, ACluster i ->
-          if a.xlv.(me) = i then Hashtbl.add table me (mk 0.0)
-        | _ -> assert false
-      in
-      let open_phase () =
-        incr phase;
-        seg := 0;
-        superstep := 0;
-        if !phase >= n_phases then begin
-          finished := true;
-          phase_trace_end ()
-        end
-        else begin
-          phase_trace (stage_phase_name stage !phase);
-          if is_root then phase_start := T.round ();
-          cur_segs := segs_of !phase;
-          seed_phase ();
-          seg_start ();
-          snapshot ()
-        end
-      in
-      let on_next () =
-        if !phase < 0 then begin
-          phase_trace_end ();
-          open_phase ()
-        end
-        else begin
-          finalize_seg ();
-          incr seg;
-          superstep := 0;
-          if !seg >= Array.length !cur_segs then begin
-            finalize_phase ();
-            open_phase ()
-          end
-          else begin
-            seg_start ();
-            snapshot ()
-          end
-        end
-      in
-      let root_mark () =
-        phase_marks := (!phase, T.round () - !phase_start) :: !phase_marks
-      in
-      let start_phases () =
-        phase_marks := (-1, T.round ()) :: !phase_marks;
-        bc_down Next;
-        on_next ()
-      in
-      let maybe_complete () =
-        if
-          !in_superstep && (not !done_sent) && !total_queued = 0
-          && !done_children = !bfs_children
-        then begin
-          if is_root then begin
-            done_sent := true;
-            (* one-round deferral: Advance/Next land strictly after every
-               data message of the superstep they close *)
-            schedule (T.round () + 1) A_decide
-          end
-          else if port_used !bfs_parent_port < 2 then begin
-            done_sent := true;
-            in_superstep := false;
-            send_ctrl !bfs_parent_port (Done { sent = !own_sent + !children_sent })
-          end
-          else schedule (T.round () + 1) A_complete
-        end
-      in
-      let handle (port, m) =
-        match m with
-        | Bfs { depth } ->
-          if !bfs_parent_port < 0 && not is_root then begin
-            bfs_parent_port := port;
-            send_ctrl port Bfs_adopt;
-            for p = 0 to deg - 1 do
-              if p <> port then send_ctrl p (Bfs { depth = depth + 1 })
-            done;
-            schedule (T.round () + 3) A_bfs_echo_check
-          end
-        | Bfs_adopt ->
-          incr bfs_children;
-          is_child.(port) <- true
-        | Bfs_echo ->
-          incr echoes;
-          if !echoes = !bfs_children then
-            if is_root then start_phases ()
-            else send_ctrl !bfs_parent_port Bfs_echo
-        | Offer { key; dist } -> (
-          let nd = dist +. weights.(port) in
-          match stage_kind stage !phase with
-          | HLevel _ ->
-            (* lexicographic (dist, src): the unique order-independent
-               fixpoint equals Sssp.dijkstra_sources bit-for-bit *)
-            if nd < !p_dist || (nd = !p_dist && key < !p_src) then begin
-              p_dist := nd;
-              p_src := key;
-              p_port := port;
-              p_dirty := true
-            end
-          | HBunch _ -> (
-            match Hashtbl.find_opt table key with
-            | Some e ->
-              if nd < e.d then begin
-                e.d <- nd;
-                e.port <- port;
-                e.dirty <- true
-              end
-            | None ->
-              Hashtbl.add table key
-                {
-                  d = nd;
-                  port;
-                  origin = -1;
-                  stamp = -1;
-                  via_edge = -1;
-                  via_dir = 0;
-                  joined = false;
-                  dirty = true;
-                })
-          | _ -> ())
-        | Offer2 { key; dist; origin } -> (
-          let nd = dist +. weights.(port) in
-          let sender = neighbors.(port) in
-          (* stamped commit: within one superstep an equal value from a
-             smaller sender displaces; across supersteps only strict < *)
-          match stage_kind stage !phase with
-          | APivot _ ->
-            if
-              nd < !q_dist
-              || (nd = !q_dist && !q_stamp = !ss_id && !q_port >= 0
-                 && sender < neighbors.(!q_port))
-            then begin
-              q_dist := nd;
-              q_org := origin;
-              q_port := port;
-              q_stamp := !ss_id;
-              q_dirty := true
-            end
-          | ACluster _ -> (
-            match Hashtbl.find_opt table key with
-            | Some e ->
-              if
-                nd < e.d
-                || (nd = e.d && e.stamp = !ss_id && e.port >= 0
-                   && sender < neighbors.(e.port))
-              then begin
-                e.d <- nd;
-                e.port <- port;
-                e.origin <- origin;
-                e.stamp <- !ss_id;
-                e.via_edge <- -1;
-                e.joined <- false;
-                e.dirty <- true
-              end
-            | None ->
-              Hashtbl.add table key
-                {
-                  d = nd;
-                  port;
-                  origin;
-                  stamp = !ss_id;
-                  via_edge = -1;
-                  via_dir = 0;
-                  joined = false;
-                  dirty = true;
-                })
-          | _ -> ())
-        | Relay { key; edge; dir; value; origin } ->
-          if has_succ edge dir then
-            fwd_pending edge dir (Relay { key; edge; dir; value; origin })
-          else begin
-            (* destination endpoint: buffer, committed at the segment
-               barrier by lex-min (value, edge) — the Jacobi tie-break *)
-            match Hashtbl.find_opt relay_prop key with
-            | Some (v0, e0, _, _) when (v0, e0) <= (value, edge) -> ()
-            | _ -> Hashtbl.replace relay_prop key (value, edge, dir, origin)
-          end
-        | Rec_req { key; edge; dir } ->
-          if has_succ edge (1 - dir) then
-            fwd_pending edge (1 - dir) (Rec_req { key; edge; dir })
-          else begin
-            (* feeding endpoint: start the accumulating walk from my own
-               pre-recovery candidate *)
-            let acc =
-              match Hashtbl.find_opt rec0 key with Some d -> d | None -> infinity
-            in
-            fwd_pending edge dir (Rec { key; edge; dir; acc })
-          end
-        | Rec { key; edge; dir; acc } ->
-          let acc' = acc +. weights.(port) in
-          let prev = neighbors.(port) in
-          let cd0 =
-            match Hashtbl.find_opt rec0 key with Some d -> d | None -> infinity
-          in
-          (* <= with tolerance: the endpoint's candidate ties its recorded
-             estimate and must still acquire a parent on the path *)
-          if acc' <= cd0 +. (1e-9 *. (1.0 +. abs_float cd0)) then begin
-            match Hashtbl.find_opt rec_prop key with
-            | Some (a0, p0) when (a0, p0) <= (acc', prev) -> ()
-            | _ -> Hashtbl.replace rec_prop key (acc', prev)
-          end;
-          if has_succ edge dir then fwd_pending edge dir (Rec { key; edge; dir; acc = acc' })
-        | Done { sent } ->
-          incr done_children;
-          children_sent := !children_sent + sent
-        | Advance ->
-          if port = !bfs_parent_port then begin
-            bc_down Advance;
-            incr superstep;
-            snapshot ()
-          end
-        | Next ->
-          if port = !bfs_parent_port then begin
-            bc_down Next;
-            on_next ()
-          end
-      in
-      let run_action = function
-        | A_bfs_echo_check ->
-          if !bfs_children = 0 then
-            if is_root then start_phases ()
-            else send_ctrl !bfs_parent_port Bfs_echo
-        | A_decide ->
-          let total = !own_sent + !children_sent in
-          incr superstep;
-          if total = 0 || !superstep >= (!cur_segs).(!seg).sbudget then begin
-            if !seg = Array.length !cur_segs - 1 then root_mark ();
-            bc_down Next;
-            on_next ()
-          end
-          else begin
-            bc_down Advance;
-            snapshot ()
-          end
-        | A_complete -> maybe_complete ()
-        | A_watchdog ->
-          if not !finished then begin
-            if T.round () - !last_progress >= watchdog_interval then begin
-              (if !phase < 0 then
-                 fail_at me (Setup_timeout { vertex = me; round = T.round () })
-               else
-                 fail_at me
-                   (Stalled
-                      {
-                        vertex = me;
-                        round = T.round ();
-                        phase = stage_phase_name stage !phase;
-                        superstep = !superstep;
-                      }));
-              finished := true
-            end
-            else schedule (T.round () + watchdog_interval) A_watchdog
-          end
-      in
-      let drain () =
-        let r = T.round () in
-        if !last_drain < r then begin
-          last_drain := r;
-          for p = 0 to deg - 1 do
-            let budget = ref (2 - port_used p) in
-            while !budget > 0 && not (Queue.is_empty queues.(p)) do
-              let msg = Queue.pop queues.(p) in
-              decr total_queued;
-              decr budget;
-              note_send p;
-              T.send p msg
-            done
-          done
-        end
-      in
-      let dead_seen = ref [] in
-      let check_dead () =
-        List.iter
-          (fun (p, why) ->
-            if not (List.mem p !dead_seen) then begin
-              dead_seen := p :: !dead_seen;
-              fail_at me
-                (Link_lost { vertex = me; neighbor = neighbors.(p); reason = why });
-              finished := true
-            end)
-          (T.dead_ports ())
-      in
-      (* round 0: BFS flood from the root *)
-      phase_trace (stage_phase_name stage (-1));
-      if is_root then begin
-        for p = 0 to deg - 1 do
-          send_ctrl p (Bfs { depth = 0 })
-        done;
-        schedule 3 A_bfs_echo_check
-      end;
-      schedule watchdog_interval A_watchdog;
-      update_mem ();
-      let next_deadline () =
-        let a = match !agenda with [] -> max_int | (r, _) :: _ -> r in
-        if !total_queued > 0 then min a (T.round () + 1) else a
-      in
-      let is_data = function
-        | Offer _ | Offer2 _ | Relay _ | Rec_req _ | Rec _ -> true
-        | _ -> false
-      in
-      let rec loop () =
-        if not !finished then begin
-          let dl = next_deadline () in
-          let inbox = if dl = max_int then T.wait () else T.wait_until dl in
-          if inbox <> [] then last_progress := T.round ();
-          (* control first: a data message sharing the inbox with the
-             Advance/Next that opens its superstep belongs to the state that
-             barrier installs *)
-          List.iter (fun (p, m) -> if not (is_data m) then handle (p, m)) inbox;
-          List.iter (fun (p, m) -> if is_data m then handle (p, m)) inbox;
-          check_dead ();
-          let rec run_due () =
-            match !agenda with
-            | (r, a) :: rest when r <= T.round () ->
-              agenda := rest;
-              run_action a;
-              run_due ()
-            | _ -> ()
-          in
-          run_due ();
-          if not !finished then begin
-            drain ();
-            maybe_complete ();
-            update_mem ();
-            loop ()
-          end
-        end
-      in
-      loop ()
-    in
-    let report =
-      if use_reliable then
-        R.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains
-          ?config g
-          ~node:(fun t rctx ->
-            node t ~me:rctx.R.me ~neighbors:rctx.R.neighbors ~weights:rctx.R.weights)
-      else
-        S.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains g
-          ~node:(fun (sctx : S.ctx) ->
-            node
-              (module S.Transport : Congest.Sim.TRANSPORT with type msg = msg)
-              ~me:sctx.S.me ~neighbors:sctx.S.neighbors ~weights:sctx.S.weights)
-    in
-    (match report.Congest.Sim.outcome with
-    | Congest.Sim.Completed -> ()
-    | Congest.Sim.Deadlocked _ as oc ->
-      post := Transport (Format.asprintf "%a" Congest.Sim.pp_outcome oc) :: !post
-    | Congest.Sim.Round_limit -> post := Transport "round limit exceeded" :: !post);
-    List.iter
-      (fun (p, rounds) ->
-        all_marks :=
-          ( stage_phase_name stage p,
-            stage_phase_detail stage p,
-            rounds,
-            Atomic.get phase_peak.(p + 1) )
-          :: !all_marks)
-      (List.rev !phase_marks);
-    report.Congest.Sim.metrics
-  in
-
-  (* ---- run A: construction waves, then the shared field-to-edge step ---- *)
-  let report_a = exec (Fields { flambda = lambda; hlv }) in
   let fields =
     {
       Construct.levels = hlevels;
-      dist_to_level = h.hl_dist;
-      pivot_of_level = h.hl_src;
+      dist_to_level = hl_dist;
+      pivot_of_level = hl_src;
       bunch_dist =
         (let rows = Array.init m (fun _ -> Array.make n infinity) in
          Array.iteri
@@ -1111,20 +681,14 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
                (fun (w, d) ->
                  match Virtual_graph.to_virtual vg w with
                  | Some jw -> rows.(jw).(v) <- d
-                 | None ->
-                   post := Harvest { vertex = v; reason = Printf.sprintf "bunch owner %d not virtual" w } :: !post)
+                 | None -> harvest v (Printf.sprintf "bunch owner %d not virtual" w))
                entries)
-           h.bunch_local;
+           bunch_local;
          rows);
     }
   in
-  let phases_cost () =
-    List.fold_left
-      (fun c (name, detail, rounds, peak) ->
-        Cost.add c ~detail ~name ~rounds ~peak_memory:peak)
-      Cost.empty (List.rev !all_marks)
-  in
-  let mk_outcome ~upper ~hopset report =
+  let mk_outcome ~upper ~hopset res_b =
+    let runs = res_a :: Option.to_list res_b in
     {
       upper;
       fields;
@@ -1137,58 +701,40 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
       xlevels;
       k;
       ih;
-      report;
+      report =
+        (match res_b with
+        | None -> res_a.Superstep.report
+        | Some r -> Congest.Metrics.merge res_a.Superstep.report r.Superstep.report);
       phase_rounds =
-        List.rev_map (fun (name, _, rounds, _) -> (name, rounds)) !all_marks;
-      failures = gathered_failures ();
+        List.concat_map
+          (fun (r : Superstep.result) ->
+            List.map
+              (fun (p : Cost.phase) -> (p.Cost.name, p.Cost.rounds))
+              (Cost.phases r.phases))
+          runs;
+      failures =
+        List.concat_map (fun (r : Superstep.result) -> r.failures) runs @ List.rev !post;
     }
   in
-  if gathered_failures () <> [] then mk_outcome ~upper:None ~hopset:None report_a
+  if res_a.Superstep.failures <> [] || !post <> [] then
+    mk_outcome ~upper:None ~hopset:None None
   else
-    let hopset =
-      match Construct.assemble vg fields with
-      | hs -> Some hs
-      | exception Invalid_argument msg ->
-        post := Harvest { vertex = -1; reason = "assemble rejected fields: " ^ msg } :: !post;
-        None
-    in
-    match hopset with
-    | None -> mk_outcome ~upper:None ~hopset:None report_a
-    | Some hopset ->
-      (* ---- relay tables: per-vertex next hops along the stored paths ---- *)
+    match Construct.assemble vg fields with
+    | exception Invalid_argument msg ->
+      harvest (-1) ("assemble rejected fields: " ^ msg);
+      mk_outcome ~upper:None ~hopset:None None
+    | hopset ->
       let edges = Hopset.edges hopset in
-      let inc = Array.make n [] in
-      let succ = Array.init n (fun _ -> Hashtbl.create 2) in
-      Array.iteri
-        (fun i (e : Hopset.edge) ->
-          inc.(e.x) <- (i, 0, e.w) :: inc.(e.x);
-          inc.(e.y) <- (i, 1, e.w) :: inc.(e.y);
-          let p = e.path in
-          let l = Array.length p in
-          for j = 0 to l - 1 do
-            if j < l - 1 then Hashtbl.replace succ.(p.(j)) ((2 * i) + 0) p.(j + 1);
-            if j > 0 then Hashtbl.replace succ.(p.(j)) ((2 * i) + 1) p.(j - 1)
-          done)
-        edges;
-      (* ---- run B: approximate pivots and cluster waves over G' ∪ H ---- *)
-      let env =
-        {
-          ak = k;
-          aih = ih;
-          abeta = beta;
-          one_eps = 1.0 +. epsilon;
-          xlv = xlevels;
-          inc;
-          succ;
-        }
+      let res_b, pe_dist, pe_org, cl_local =
+        approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains g
+          ~k ~ih ~beta ~epsilon ~b ~xlevels edges
       in
-      let report_b = exec (Approx env) in
-      let report = Congest.Metrics.merge report_a report_b in
-      if gathered_failures () <> [] then mk_outcome ~upper:None ~hopset:(Some hopset) report
+      let failed () = res_b.Superstep.failures <> [] || !post <> [] in
+      if failed () then mk_outcome ~upper:None ~hopset:(Some hopset) (Some res_b)
       else begin
         let pivot_estimates = ref [] in
         for j = k - 1 downto ih + 1 do
-          pivot_estimates := (j, (h.pe_dist.(j), h.pe_org.(j))) :: !pivot_estimates
+          pivot_estimates := (j, (pe_dist.(j), pe_org.(j))) :: !pivot_estimates
         done;
         let waves : (int, Scheme.Upper_stage.cluster_wave) Hashtbl.t =
           Hashtbl.create 64
@@ -1213,10 +759,9 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
                   cw.Scheme.Upper_stage.cdist.(v) <- d;
                   cw.Scheme.Upper_stage.cparent.(v) <- par;
                   cw.Scheme.Upper_stage.joined.(v) <- joined
-                | None ->
-                  post := Harvest { vertex = v; reason = Printf.sprintf "cluster deposit for non-owner %d" w } :: !post)
+                | None -> harvest v (Printf.sprintf "cluster deposit for non-owner %d" w))
               entries)
-          h.cl_local;
+          cl_local;
         let cluster_waves = ref [] in
         for w = n - 1 downto 0 do
           match Hashtbl.find_opt waves w with
@@ -1228,12 +773,16 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
             Scheme.Upper_stage.hopset_edges = Array.to_list edges;
             pivot_estimates = !pivot_estimates;
             cluster_waves = !cluster_waves;
-            phases = phases_cost ();
+            (* newest first, as Cost keeps them *)
+            phases =
+              {
+                Cost.phases =
+                  res_b.Superstep.phases.Cost.phases @ res_a.Superstep.phases.Cost.phases;
+              };
           }
         in
-        if gathered_failures () <> [] then
-          mk_outcome ~upper:None ~hopset:(Some hopset) report
-        else mk_outcome ~upper:(Some upper) ~hopset:(Some hopset) report
+        if failed () then mk_outcome ~upper:None ~hopset:(Some hopset) (Some res_b)
+        else mk_outcome ~upper:(Some upper) ~hopset:(Some hopset) (Some res_b)
       end
 
 (* ---- differential gate ---- *)

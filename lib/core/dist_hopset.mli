@@ -4,16 +4,14 @@
     [β]-iteration approximate Bellman–Ford centrally and merely {e charges}
     rounds through {!Cost}. This module executes that stage
     message-by-message on the simulator — over either raw {!Congest.Sim} or
-    {!Congest.Reliable}, the protocol body written once against
-    {!Congest.Sim.TRANSPORT} — and returns a {!Scheme.Upper_stage.t} whose
+    {!Congest.Reliable} — and returns a {!Scheme.Upper_stage.t} whose
     [phases] carry the {e measured} rounds and per-vertex memory.
     Stacked on [Dist_scheme] (the exact stage) and spliced back through
     {!Scheme.build_from_exact}[ ?upper], the entire Appendix B construction
     runs as messages, end to end.
 
-    Two transport runs share the superstep engine (BFS barrier tree,
-    Advance/Done/Next, delta offers, quiescence/budget phase ends, typed
-    watchdog failures — all exactly as in [Dist_scheme]):
+    Two runs of the {!Superstep} engine, the one [Dist_scheme] runs on;
+    each brings only its payloads and step callbacks:
 
     + {e run A (construction)} computes the wave fixpoints the hopset edge
       list is a pure function of ({!Hopsets.Construct.fields}): one
@@ -49,10 +47,9 @@
     cluster wave (candidate distances, parents, recovery joins)
     bit-identical to the centralized computation. *)
 
-(** Same shape and rendering as {!Dist_scheme.failure}; both stages post
-    into one shared per-vertex fault table when composed by
-    {!build_full}. *)
-type failure = Dist_scheme.failure =
+(** The engine's typed failures ({!Superstep.failure}), shared with
+    {!Dist_scheme}. *)
+type failure = Superstep.failure =
   | Setup_timeout of { vertex : int; round : int }
   | Stalled of { vertex : int; round : int; phase : string; superstep : int }
   | Link_lost of { vertex : int; neighbor : int; reason : string }

@@ -1,101 +1,43 @@
 open Dgraph
 
-(* Appendix B's exact stage, message-by-message. One BFS tree rooted at
-   vertex 0 synchronizes a sequence of phases; each phase is a sequence of
-   supersteps closed by an Advance/Done barrier over the tree. A superstep
-   performs exactly one (delta-encoded) Bellman-Ford iteration: entries that
-   improved since the previous barrier are offered to every neighbour except
-   the one they were learned from, at most [edge_capacity] per edge per
-   round. The root ends a phase on quiescence (a superstep that sent no
-   data) or when its budget is exhausted (the virtual wave is cut at exactly
-   [B] supersteps - its hop bound is definitional, not a convergence aid).
+(* Appendix B's exact stage, message-by-message, on the superstep engine.
+   Every phase is one segment: a superstep performs exactly one
+   (delta-encoded) Bellman-Ford iteration, offering the entries that
+   improved since the previous barrier to every neighbour except the one
+   they were learned from. Pivot and cluster phases end on quiescence; the
+   virtual wave is cut at exactly [B] supersteps - its hop bound is
+   definitional, not a convergence aid. *)
 
-   Barrier timing makes phase/superstep tags unnecessary: the root defers
-   its end-of-superstep decision by one round, so an Advance/Next reaches
-   any vertex strictly after every data message of the superstep it closes
-   (BFS depths of graph neighbours differ by at most 1). *)
+type payload = Offer of { src : int; dist : float }
 
-type msg =
-  | Level of { lvl : int }
-  | Bfs of { depth : int }
-  | Bfs_adopt
-  | Bfs_echo
-  | Offer of { src : int; dist : float }
-  | Done of { sent : int }
-  | Advance
-  | Next
+module P = struct
+  type t = payload
 
-module M = struct
-  type t = msg
+  let words (Offer _) = 3
 
-  let words = function
-    | Bfs_adopt | Bfs_echo | Advance | Next -> 1
-    | Level _ | Bfs _ | Done _ -> 2
-    | Offer _ -> 3
-
-  (* Slab codec: [tag; fields...]. Offer's distance is a float and rides in
-     two slots ({!Congest.Slab.set_float}), so the widest record is
-     tag + src + distance. *)
+  (* src, then the distance in two slots ({!Congest.Slab.set_float}) *)
   module Sl = Congest.Slab
 
-  let slots = 4
+  let slots = 3
 
-  let encode sl b = function
-    | Level { lvl } ->
-      Sl.set sl b 0;
-      Sl.set sl (b + 1) lvl
-    | Bfs { depth } ->
-      Sl.set sl b 1;
-      Sl.set sl (b + 1) depth
-    | Bfs_adopt -> Sl.set sl b 2
-    | Bfs_echo -> Sl.set sl b 3
-    | Offer { src; dist } ->
-      Sl.set sl b 4;
-      Sl.set sl (b + 1) src;
-      Sl.set_float sl (b + 2) dist
-    | Done { sent } ->
-      Sl.set sl b 5;
-      Sl.set sl (b + 1) sent
-    | Advance -> Sl.set sl b 6
-    | Next -> Sl.set sl b 7
+  let encode sl b (Offer { src; dist }) =
+    Sl.set sl b src;
+    Sl.set_float sl (b + 1) dist
 
-  let decode sl b =
-    match Sl.get sl b with
-    | 0 -> Level { lvl = Sl.get sl (b + 1) }
-    | 1 -> Bfs { depth = Sl.get sl (b + 1) }
-    | 2 -> Bfs_adopt
-    | 3 -> Bfs_echo
-    | 4 -> Offer { src = Sl.get sl (b + 1); dist = Sl.get_float sl (b + 2) }
-    | 5 -> Done { sent = Sl.get sl (b + 1) }
-    | 6 -> Advance
-    | 7 -> Next
-    | t -> invalid_arg (Printf.sprintf "Dist_scheme: corrupt tag %d" t)
+  let decode sl b = Offer { src = Sl.get sl b; dist = Sl.get_float sl (b + 1) }
 end
 
-module S = Congest.Sim.Make (M)
-module R = Congest.Reliable.Make (M)
+module E = Superstep.Make (P)
 
-type transport = (module Congest.Sim.TRANSPORT with type msg = msg)
-
-type failure =
+type failure = Superstep.failure =
   | Setup_timeout of { vertex : int; round : int }
   | Stalled of { vertex : int; round : int; phase : string; superstep : int }
   | Link_lost of { vertex : int; neighbor : int; reason : string }
   | Harvest of { vertex : int; reason : string }
   | Transport of string
 
-let failure_to_string = function
-  | Setup_timeout { vertex; round } ->
-    Printf.sprintf "v%d: setup timed out: no phase start by round %d" vertex round
-  | Stalled { vertex; round; phase; superstep } ->
-    Printf.sprintf "v%d: watchdog: no traffic or progress by round %d (phase %s, superstep %d)"
-      vertex round phase superstep
-  | Link_lost { vertex; neighbor; reason } ->
-    Printf.sprintf "v%d: link to v%d lost: %s" vertex neighbor reason
-  | Harvest { vertex; reason } -> Printf.sprintf "v%d: %s" vertex reason
-  | Transport s -> s
-
-let pp_failure ppf f = Format.pp_print_string ppf (failure_to_string f)
+let failure_to_string = Superstep.failure_to_string
+let pp_failure = Superstep.pp_failure
 
 type outcome = {
   exact : Scheme.Exact_stage.t;
@@ -112,14 +54,11 @@ type outcome = {
    barrier snapshot. *)
 type entry = { mutable d : float; mutable port : int; mutable dirty : bool }
 
-type action = A_bfs_echo_check | A_decide | A_complete | A_watchdog
+type phase_kind = Pivot of int | Cluster of int | Virtual
 
 let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
     ?domains g =
   if k < 2 then invalid_arg "Dist_scheme.run: k >= 2 required";
-  let use_reliable =
-    match reliable with Some b -> b | None -> Option.is_some faults
-  in
   let n = Graph.n g in
   let ih = max 1 (k / 2) in
   let b =
@@ -136,30 +75,34 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
   let levels = Array.init n (fun v -> Tz.Hierarchy.level sampled v) in
   (* Phase plan: 0..ih-1 pivots (level = phase+1), ih..2ih-1 clusters
      (level = phase-ih), 2ih the virtual wave. *)
-  let n_phases = (2 * ih) + 1 in
-  let phase_kind p = if p < ih then `Pivot (p + 1) else if p < 2 * ih then `Cluster (p - ih) else `Virtual in
-  let phase_budget p = match phase_kind p with `Virtual -> b | _ -> (2 * n) + 4 in
-  let count_level_ge j =
-    Array.fold_left (fun a l -> if l >= j then a + 1 else a) 0 levels
+  let kinds =
+    Array.init ((2 * ih) + 1) (fun p ->
+        if p < ih then Pivot (p + 1) else if p < 2 * ih then Cluster (p - ih) else Virtual)
   in
-  let count_level_eq i =
-    Array.fold_left (fun a l -> if l = i then a + 1 else a) 0 levels
-  in
-  let phase_name p =
-    if p < 0 then "hierarchy sampling + BFS setup"
-    else
-      match phase_kind p with
-      | `Pivot j -> Printf.sprintf "exact pivots level %d" j
-      | `Cluster i -> Printf.sprintf "exact clusters level %d" i
-      | `Virtual -> "virtual edges (B-bounded wave)"
-  in
-  let phase_detail p =
-    if p < 0 then ""
-    else
-      match phase_kind p with
-      | `Pivot j -> Printf.sprintf "|A_%d|=%d" j (count_level_ge j)
-      | `Cluster i -> Printf.sprintf "|owners|=%d" (count_level_eq i)
-      | `Virtual -> Printf.sprintf "|V'|=%d b=%d" (count_level_ge ih) b
+  let count f = Array.fold_left (fun a l -> if f l then a + 1 else a) 0 levels in
+  let plan =
+    {
+      Superstep.setup = "hierarchy sampling + BFS setup";
+      names =
+        Array.map
+          (function
+            | Pivot j -> Printf.sprintf "exact pivots level %d" j
+            | Cluster i -> Printf.sprintf "exact clusters level %d" i
+            | Virtual -> "virtual edges (B-bounded wave)")
+          kinds;
+      details =
+        Array.map
+          (function
+            | Pivot j -> Printf.sprintf "|A_%d|=%d" j (count (fun l -> l >= j))
+            | Cluster i -> Printf.sprintf "|owners|=%d" (count (fun l -> l = i))
+            | Virtual -> Printf.sprintf "|V'|=%d b=%d" (count (fun l -> l >= ih)) b)
+          kinds;
+      segments =
+        Array.map
+          (fun kd ->
+            [| { Superstep.kind = (); budget = (if kd = Virtual then b else (2 * n) + 4) } |])
+          kinds;
+    }
   in
   (* ---- harvest arrays, written by vertex programs at phase ends ---- *)
   let pivot_dist =
@@ -176,454 +119,108 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
      — and regrouped by owner after the run. Entries: (owner, d, via). *)
   let cluster_local : (int * float * int) list array = Array.make n [] in
   let virtual_acc : (int * float) list array = Array.make n [] in
-  let phase_marks = ref [] in
-  (* measured per-vertex protocol words, max per phase (index = phase + 1);
-     atomic because every vertex maxes into the shared cells and, under the
-     domain-sharded scheduler, from different domains — CAS-max keeps the
-     result exact (max is commutative) without per-vertex storage *)
-  let phase_peak = Array.init (n_phases + 1) (fun _ -> Atomic.make 0) in
-  let rec peak_max cell v =
-    let cur = Atomic.get cell in
-    if v > cur && not (Atomic.compare_and_set cell cur v) then peak_max cell v
-  in
-  (* Under Reliable a masked delivery may back off for a whole
-     retransmission streak before the link is declared dead, so the stall
-     interval must dominate that streak: shorter and a healthy faulted run
-     could trip the watchdog mid-backoff. Derived from the transport config
-     actually in use, not hardcoded. *)
-  let watchdog_interval =
-    let base = (4 * n) + 64 in
-    if use_reliable then
-      let cfg =
-        match config with
-        | Some c -> c
-        | None -> Congest.Reliable.default_config
-      in
-      max base (Congest.Reliable.retransmission_budget cfg + 64)
-    else base
-  in
-  (* Per-vertex failure slots (single writer each) for reports originating
-     inside vertex programs; [post] collects the coordinator's own post-run
-     findings (transport outcome, harvest rejections). *)
-  let fail_slots : failure list array = Array.make n [] in
-  let fail_at v f = fail_slots.(v) <- f :: fail_slots.(v) in
-  let post : failure list ref = ref [] in
-  let fail v s = post := Harvest { vertex = v; reason = s } :: !post in
-  let gathered_failures () =
-    let per_vertex =
-      Array.fold_right (fun fs acc -> List.rev_append fs acc) fail_slots []
-    in
-    List.rev !post @ per_vertex
-  in
-
-  let node ((module T) : transport) ~me ~(neighbors : int array)
-      ~(weights : float array) =
-    let deg = Array.length neighbors in
-    let is_root = me = 0 in
+  let steps v =
+    let me = E.me v and neighbors = E.neighbors v and weights = E.weights v in
     let my_level = levels.(me) in
-    let phase_trace name =
-      if is_root then
-        match trace with Some tr -> Congest.Trace.phase tr name | None -> ()
-    in
-    let phase_trace_end () =
-      if is_root then
-        match trace with Some tr -> Congest.Trace.phase_end tr | None -> ()
-    in
-    (* ---- BFS setup state ---- *)
-    let bfs_parent_port = ref (-1)
-    and bfs_depth = ref (if is_root then 0 else -1)
-    and bfs_children = ref 0
-    and echoes = ref 0 in
-    let is_child = Array.make (max 1 deg) false in
-    (* ---- superstep engine state ---- *)
-    let phase = ref (-1)
-    and superstep = ref 0
-    and in_superstep = ref false
-    and done_sent = ref false
-    and done_children = ref 0
-    and children_sent = ref 0
-    and own_sent = ref 0
-    and phase_start = ref 0
-    and virtual_nbrs = ref 0
-    and finished = ref false
-    and last_drain = ref (-1)
-    and last_progress = ref 0 in
-    (* ---- wave state ---- *)
     let p_dist = ref infinity and p_src = ref (-1) and p_port = ref (-1) in
     let p_dirty = ref false in
     let table : (int, entry) Hashtbl.t = Hashtbl.create 8 in
     let my_level_dist = Array.make (ih + 1) infinity in
     my_level_dist.(0) <- 0.0;
-    let queues : (int * float) Queue.t array =
-      Array.init (max 1 deg) (fun _ -> Queue.create ())
-    in
-    let total_queued = ref 0 in
-    let agenda = ref [] in
-    let schedule r a =
-      let rec ins = function
-        | [] -> [ (r, a) ]
-        | (r', _) :: _ as l when r < r' -> (r, a) :: l
-        | x :: rest -> x :: ins rest
-      in
-      agenda := ins !agenda
-    in
-    (* control messages share edges with data; every send is tallied per
-       port so nothing exceeds the run's edge capacity of 2 *)
-    let ctrl_round = ref (-1) in
-    let ctrl = Array.make (max 1 deg) 0 in
-    let note_send p =
-      if !ctrl_round <> T.round () then begin
-        ctrl_round := T.round ();
-        Array.fill ctrl 0 (Array.length ctrl) 0
-      end;
-      ctrl.(p) <- ctrl.(p) + 1
-    in
-    let port_used p = if !ctrl_round = T.round () then ctrl.(p) else 0 in
-    let send_ctrl p m =
-      note_send p;
-      T.send p m
-    in
-    let bc_down m =
-      for p = 0 to deg - 1 do
-        if is_child.(p) then send_ctrl p m
-      done
-    in
-    let update_mem () =
-      let words =
-        14 + (ih + 2) + 3
-        + (4 * Hashtbl.length table)
-        + (2 * !total_queued)
-      in
-      T.set_memory words;
-      let idx = min n_phases (!phase + 1) in
-      peak_max phase_peak.(idx) words
-    in
-    let enqueue ~except (src, d) =
-      for p = 0 to deg - 1 do
-        if p <> except then begin
-          Queue.add (src, d) queues.(p);
-          incr total_queued;
-          incr own_sent
-        end
-      done
-    in
-    (* barrier snapshot: dirty entries become this superstep's offers *)
-    let snapshot () =
-      in_superstep := true;
-      done_sent := false;
-      done_children := 0;
-      children_sent := 0;
-      own_sent := 0;
-      (match phase_kind !phase with
-      | `Pivot _ ->
-        if !p_dirty then begin
-          p_dirty := false;
-          enqueue ~except:!p_port (!p_src, !p_dist)
-        end
-      | `Cluster i ->
-        Hashtbl.iter
-          (fun w e ->
-            if e.dirty then begin
-              e.dirty <- false;
-              if w = me || e.d < my_level_dist.(i + 1) then
-                enqueue ~except:e.port (w, e.d)
-            end)
-          table
-      | `Virtual ->
-        Hashtbl.iter
-          (fun w e ->
-            if e.dirty then begin
-              e.dirty <- false;
-              enqueue ~except:e.port (w, e.d)
-            end)
-          table)
-    in
-    let finalize_phase () =
-      match phase_kind !phase with
-      | `Pivot j ->
-        pivot_dist.(j).(me) <- !p_dist;
-        pivot_src.(j).(me) <- !p_src;
-        my_level_dist.(j) <- !p_dist;
-        p_dist := infinity;
-        p_src := -1;
-        p_port := -1;
-        p_dirty := false
-      | `Cluster i ->
-        Hashtbl.iter
-          (fun w e ->
-            if e.d < my_level_dist.(i + 1) then
-              cluster_local.(me) <-
-                (w, e.d, if e.port < 0 then -1 else neighbors.(e.port))
-                :: cluster_local.(me))
-          table;
-        Hashtbl.reset table
-      | `Virtual ->
-        if my_level >= ih then
-          Hashtbl.iter
-            (fun w e -> if w <> me then virtual_acc.(me) <- (w, e.d) :: virtual_acc.(me))
-            table;
-        Hashtbl.reset table
-    in
-    let seed_phase () =
-      match phase_kind !phase with
-      | `Pivot j ->
-        if my_level >= j then begin
-          p_dist := 0.0;
-          p_src := me;
-          p_port := -1;
-          p_dirty := true
-        end
-      | `Cluster i ->
-        if my_level = i then Hashtbl.add table me { d = 0.0; port = -1; dirty = true }
-      | `Virtual ->
-        if my_level >= ih then
-          Hashtbl.add table me { d = 0.0; port = -1; dirty = true }
-    in
-    let on_next () =
-      if !phase >= 0 then finalize_phase () else phase_trace_end ();
-      incr phase;
-      superstep := 0;
-      if !phase >= n_phases then begin
-        finished := true;
-        phase_trace_end ()
-      end
-      else begin
-        phase_trace (phase_name !phase);
-        if is_root then phase_start := T.round ();
-        seed_phase ();
-        snapshot ()
-      end
-    in
-    let root_mark () =
-      phase_marks := (!phase, T.round () - !phase_start) :: !phase_marks
-    in
-    let start_phases () =
-      (* setup complete at the root: record its span, open phase 0 *)
-      phase_marks := (-1, T.round ()) :: !phase_marks;
-      bc_down Next;
-      on_next ()
-    in
-    let maybe_complete () =
-      if
-        !in_superstep && (not !done_sent) && !total_queued = 0
-        && !done_children = !bfs_children
-      then begin
-        if is_root then begin
-          done_sent := true;
-          (* one-round deferral: guarantees Advance/Next land strictly after
-             every data message of the superstep they close *)
-          schedule (T.round () + 1) A_decide
-        end
-        else if port_used !bfs_parent_port < 2 then begin
-          done_sent := true;
-          in_superstep := false;
-          send_ctrl !bfs_parent_port (Done { sent = !own_sent + !children_sent })
-        end
-        else
-          (* parent edge is at capacity this round (the drain just emptied
-             the queue into it) - send Done next round *)
-          schedule (T.round () + 1) A_complete
-      end
-    in
-    let handle (port, m) =
-      match m with
-      | Level { lvl } -> if lvl >= ih then incr virtual_nbrs
-      | Bfs { depth } ->
-        if !bfs_parent_port < 0 && not is_root then begin
-          bfs_parent_port := port;
-          bfs_depth := depth + 1;
-          send_ctrl port Bfs_adopt;
-          for p = 0 to deg - 1 do
-            if p <> port then send_ctrl p (Bfs { depth = !bfs_depth })
-          done;
-          schedule (T.round () + 3) A_bfs_echo_check
-        end
-      | Bfs_adopt ->
-        incr bfs_children;
-        is_child.(port) <- true
-      | Bfs_echo ->
-        incr echoes;
-        if !echoes = !bfs_children then
-          if is_root then start_phases ()
-          else send_ctrl !bfs_parent_port Bfs_echo
-      | Offer { src; dist } -> (
-        let nd = dist +. weights.(port) in
-        match phase_kind !phase with
-        | `Pivot _ ->
-          if nd < !p_dist || (nd = !p_dist && src < !p_src) then begin
-            p_dist := nd;
-            p_src := src;
-            p_port := port;
-            p_dirty := true
-          end
-        | `Cluster _ | `Virtual -> (
-          match Hashtbl.find_opt table src with
-          | Some e ->
-            if nd < e.d then begin
-              e.d <- nd;
-              e.port <- port;
-              e.dirty <- true
-            end
-          | None -> Hashtbl.add table src { d = nd; port; dirty = true }))
-      | Done { sent } ->
-        incr done_children;
-        children_sent := !children_sent + sent
-      | Advance ->
-        if port = !bfs_parent_port then begin
-          bc_down Advance;
-          incr superstep;
-          snapshot ()
-        end
-      | Next ->
-        if port = !bfs_parent_port then begin
-          bc_down Next;
-          on_next ()
-        end
-    in
-    let run_action = function
-      | A_bfs_echo_check ->
-        if !bfs_children = 0 then
-          if is_root then start_phases ()
-          else send_ctrl !bfs_parent_port Bfs_echo
-      | A_decide ->
-        let total = !own_sent + !children_sent in
-        incr superstep;
-        if total = 0 || !superstep >= phase_budget !phase then begin
-          root_mark ();
-          bc_down Next;
-          on_next ()
-        end
-        else begin
-          bc_down Advance;
-          snapshot ()
-        end
-      | A_complete -> maybe_complete ()
-      | A_watchdog ->
-        (* Typed-failure path under crash-stop faults: a vertex that has
-           neither received a message nor advanced a barrier for a whole
-           interval declares the stage wedged instead of hanging forever.
-           The interval dominates any legal barrier span (a superstep
-           drains at most ~n/2 rounds per port), so a healthy run never
-           trips it. *)
-        if not !finished then begin
-          if T.round () - !last_progress >= watchdog_interval then begin
-            (if !phase < 0 then
-               fail_at me (Setup_timeout { vertex = me; round = T.round () })
-             else
-               fail_at me
-                 (Stalled
-                    {
-                      vertex = me;
-                      round = T.round ();
-                      phase = phase_name !phase;
-                      superstep = !superstep;
-                    }));
-            finished := true
-          end
-          else schedule (T.round () + watchdog_interval) A_watchdog
-        end
-    in
-    let drain () =
-      let r = T.round () in
-      if !last_drain < r then begin
-        last_drain := r;
-        for p = 0 to deg - 1 do
-          let budget = ref (2 - port_used p) in
-          while !budget > 0 && not (Queue.is_empty queues.(p)) do
-            let src, d = Queue.pop queues.(p) in
-            decr total_queued;
-            decr budget;
-            note_send p;
-            T.send p (Offer { src; dist = d })
-          done
-        done
-      end
-    in
-    let dead_seen = ref [] in
-    let check_dead () =
-      List.iter
-        (fun (p, why) ->
-          if not (List.mem p !dead_seen) then begin
-            dead_seen := p :: !dead_seen;
-            fail_at me
-              (Link_lost { vertex = me; neighbor = neighbors.(p); reason = why });
-            (* every edge carries wave data: any dead link breaks the stage *)
-            finished := true
+    let offer ~except src d = E.send_all v ~except (Offer { src; dist = d }) in
+    let offer_dirty keep =
+      Hashtbl.iter
+        (fun w e ->
+          if e.dirty then begin
+            e.dirty <- false;
+            if keep w e then offer ~except:e.port w e.d
           end)
-        (T.dead_ports ())
+        table
     in
-    (* round 0: level announcement + BFS flood from the root *)
-    phase_trace (phase_name (-1));
-    for p = 0 to deg - 1 do
-      T.send p (Level { lvl = my_level })
-    done;
-    if is_root then begin
-      for p = 0 to deg - 1 do
-        send_ctrl p (Bfs { depth = 0 })
-      done;
-      schedule 3 A_bfs_echo_check
-    end;
-    schedule watchdog_interval A_watchdog;
-    update_mem ();
-    let next_deadline () =
-      let a = match !agenda with [] -> max_int | (r, _) :: _ -> r in
-      if !total_queued > 0 then min a (T.round () + 1) else a
-    in
-    let rec loop () =
-      if not !finished then begin
-        let dl = next_deadline () in
-        let inbox = if dl = max_int then T.wait () else T.wait_until dl in
-        if inbox <> [] then last_progress := T.round ();
-        (* control first: an Offer sharing the inbox with the Advance/Next
-           that opens its superstep comes from a one-round-shallower BFS
-           neighbour and belongs to the state that barrier installs (old
-           superstep/phase data provably arrives in strictly earlier
-           rounds, thanks to the root's one-round decision deferral) *)
-        List.iter
-          (fun (p, m) -> match m with Offer _ -> () | _ -> handle (p, m))
-          inbox;
-        List.iter
-          (fun (p, m) -> match m with Offer _ -> handle (p, m) | _ -> ())
-          inbox;
-        check_dead ();
-        let rec run_due () =
-          match !agenda with
-          | (r, a) :: rest when r <= T.round () ->
-            agenda := rest;
-            run_action a;
-            run_due ()
-          | _ -> ()
-        in
-        run_due ();
-        if not !finished then begin
-          drain ();
-          maybe_complete ();
-          update_mem ();
-          loop ()
-        end
-      end
-    in
-    loop ()
+    {
+      Superstep.seed =
+        (fun () ->
+          match kinds.(E.phase v) with
+          | Pivot j ->
+            if my_level >= j then begin
+              p_dist := 0.0;
+              p_src := me;
+              p_port := -1;
+              p_dirty := true
+            end
+          | Cluster i ->
+            if my_level = i then Hashtbl.add table me { d = 0.0; port = -1; dirty = true }
+          | Virtual ->
+            if my_level >= ih then
+              Hashtbl.add table me { d = 0.0; port = -1; dirty = true });
+      seg_start = ignore;
+      (* barrier snapshot: dirty entries become this superstep's offers *)
+      snapshot =
+        (fun () ->
+          match kinds.(E.phase v) with
+          | Pivot _ ->
+            if !p_dirty then begin
+              p_dirty := false;
+              offer ~except:!p_port !p_src !p_dist
+            end
+          | Cluster i -> offer_dirty (fun w e -> w = me || e.d < my_level_dist.(i + 1))
+          | Virtual -> offer_dirty (fun _ _ -> true));
+      data =
+        (fun port (Offer { src; dist }) ->
+          let nd = dist +. weights.(port) in
+          match kinds.(E.phase v) with
+          | Pivot _ ->
+            if nd < !p_dist || (nd = !p_dist && src < !p_src) then begin
+              p_dist := nd;
+              p_src := src;
+              p_port := port;
+              p_dirty := true
+            end
+          | Cluster _ | Virtual -> (
+            match Hashtbl.find_opt table src with
+            | Some e ->
+              if nd < e.d then begin
+                e.d <- nd;
+                e.port <- port;
+                e.dirty <- true
+              end
+            | None -> Hashtbl.add table src { d = nd; port; dirty = true }));
+      seg_end = ignore;
+      phase_end =
+        (fun () ->
+          match kinds.(E.phase v) with
+          | Pivot j ->
+            pivot_dist.(j).(me) <- !p_dist;
+            pivot_src.(j).(me) <- !p_src;
+            my_level_dist.(j) <- !p_dist;
+            p_dist := infinity;
+            p_src := -1;
+            p_port := -1;
+            p_dirty := false
+          | Cluster i ->
+            Hashtbl.iter
+              (fun w e ->
+                if e.d < my_level_dist.(i + 1) then
+                  cluster_local.(me) <-
+                    (w, e.d, if e.port < 0 then -1 else neighbors.(e.port))
+                    :: cluster_local.(me))
+              table;
+            Hashtbl.reset table
+          | Virtual ->
+            if my_level >= ih then
+              Hashtbl.iter
+                (fun w e -> if w <> me then virtual_acc.(me) <- (w, e.d) :: virtual_acc.(me))
+                table;
+            Hashtbl.reset table);
+      words = (fun () -> 14 + (ih + 2) + 3 + (4 * Hashtbl.length table));
+    }
   in
-  let report =
-    if use_reliable then
-      R.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains
-        ?config g
-        ~node:(fun t rctx ->
-          node t ~me:rctx.R.me ~neighbors:rctx.R.neighbors
-            ~weights:rctx.R.weights)
-    else
-      S.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains g
-        ~node:(fun (sctx : S.ctx) ->
-          node
-            (module S.Transport : Congest.Sim.TRANSPORT with type msg = msg)
-            ~me:sctx.S.me ~neighbors:sctx.S.neighbors ~weights:sctx.S.weights)
+  let res =
+    E.run ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains g
+      plan steps
   in
-  (match report.Congest.Sim.outcome with
-  | Congest.Sim.Completed -> ()
-  | Congest.Sim.Deadlocked _ as oc ->
-    post := Transport (Format.asprintf "%a" Congest.Sim.pp_outcome oc) :: !post
-  | Congest.Sim.Round_limit -> post := Transport "round limit exceeded" :: !post);
+  let post : failure list ref = ref [] in
+  let fail v s = post := Harvest { vertex = v; reason = s } :: !post in
   (* ---- harvest: per-vertex state -> the Exact_stage interchange record ---- *)
   (* regroup the members' cluster deposits by owner *)
   let cluster_by_owner : (int * float * int) list array = Array.make n [] in
@@ -634,7 +231,7 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
         entries)
     cluster_local;
   let clusters = ref [] in
-  if gathered_failures () = [] then
+  if res.Superstep.failures = [] then
     for i = ih - 1 downto 0 do
       for w = n - 1 downto 0 do
         if levels.(w) = i then begin
@@ -669,14 +266,6 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
         end
       done
     done;
-  let phases =
-    List.fold_left
-      (fun c (p, rounds) ->
-        Cost.add c ~detail:(phase_detail p) ~name:(phase_name p) ~rounds
-          ~peak_memory:(Atomic.get phase_peak.(p + 1)))
-      Cost.empty
-      (List.rev !phase_marks)
-  in
   let exact =
     {
       Scheme.Exact_stage.k;
@@ -685,7 +274,7 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
       dist = pivot_dist;
       pivots = pivot_src;
       clusters = !clusters;
-      phases;
+      phases = res.Superstep.phases;
     }
   in
   let members = ref [] in
@@ -703,12 +292,12 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
     virtual_rows;
     b;
     members = !members;
-    report = report.Congest.Sim.metrics;
+    report = res.Superstep.report;
     phase_rounds =
-      List.rev_map
-        (fun (p, rounds) -> (phase_name p, rounds))
-        !phase_marks;
-    failures = gathered_failures ();
+      List.map
+        (fun (p : Cost.phase) -> (p.Cost.name, p.Cost.rounds))
+        (Cost.phases res.Superstep.phases);
+    failures = res.Superstep.failures @ List.rev !post;
   }
 
 type gate_mode = Exact | Sampled of { sample : int; seed : int }

@@ -4,18 +4,16 @@
     sampling, exact pivots and clusters below level [⌈k/2⌉], implicit
     virtual-edge distances) centrally and merely {e charges} rounds through
     {!Cost}. This module executes that same stage message-by-message on the
-    simulator — over either the raw {!Congest.Sim} transport or
-    {!Congest.Reliable} (the protocol body is written once against
-    {!Congest.Sim.TRANSPORT}) — and returns a {!Scheme.Exact_stage.t} whose
-    [phases] carry the {e measured} rounds and per-vertex memory instead of
-    the charged formulas. {!Scheme.build_from_exact} then turns it into a
+    simulator, on the {!Superstep} engine — over either the raw
+    {!Congest.Sim} transport or {!Congest.Reliable} — and returns a
+    {!Scheme.Exact_stage.t} whose [phases] carry the {e measured} rounds
+    and per-vertex memory instead of the charged formulas. {!Scheme.build_from_exact} then turns it into a
     full routing scheme.
 
     Protocol outline (one BFS tree rooted at vertex 0 drives everything):
 
-    + round 0: every vertex announces its sampled hierarchy level to its
-      neighbours, and the root floods a BFS tree whose echo tells the root
-      when setup is complete;
+    + setup: the root floods a BFS tree whose echo tells it when setup is
+      complete (levels are sampled locally and never sent);
     + the stage proper is a sequence of {e phases}, each a sequence of
       root-synchronized {e supersteps} (Advance/Done barriers over the BFS
       tree). One superstep performs exactly one Bellman–Ford iteration:
@@ -48,20 +46,13 @@
     {e trees} are excluded — the distributed parents are valid shortest-path
     parents but break ties by message arrival rather than heap order. *)
 
-type failure =
+(** The engine's typed failures ({!Superstep.failure}). *)
+type failure = Superstep.failure =
   | Setup_timeout of { vertex : int; round : int }
-      (** the BFS/levels setup never opened phase 0 at this vertex *)
   | Stalled of { vertex : int; round : int; phase : string; superstep : int }
-      (** watchdog: no message traffic and no barrier progress for a whole
-          interval — the typed outcome of a wedged stage (e.g. a crash-stop
-          fault partitioning the barrier tree) instead of a hang *)
   | Link_lost of { vertex : int; neighbor : int; reason : string }
-      (** the reliable layer declared an incident edge dead; every edge
-          carries wave data, so the stage cannot complete *)
   | Harvest of { vertex : int; reason : string }
-      (** harvested per-vertex state is inconsistent (rejected cluster
-          tree, non-adjacent parent, …) *)
-  | Transport of string  (** simulator-level outcome: deadlock, round limit *)
+  | Transport of string
 
 val failure_to_string : failure -> string
 val pp_failure : Format.formatter -> failure -> unit

@@ -55,14 +55,10 @@ type params = {
   rebuild_trigger : float;
       (** fraction of the last full build's round charge that the
           support-subtree-depth estimate of the cluster regrows must
-          exceed to escalate to a full rebuild *)
+          exceed to escalate to a full rebuild; [1.0] when [?params] is
+          omitted — escalate only when repairing is predicted to cost at
+          least as much as rebuilding, which then strictly dominates *)
 }
-
-val default_params : params
-(** [{ rebuild_trigger = 1.0 }] — escalate only when repairing is
-    predicted to cost at least as much as rebuilding from scratch (at
-    which point the rebuild strictly dominates: no dearer, and it resets
-    accumulated staleness). *)
 
 type source =
   | Fresh  (** structures quiesced; the scheme's own path *)
@@ -101,14 +97,6 @@ type t
 
 val create : ?params:params -> rng:Random.State.t -> k:int -> Dgraph.Graph.t -> t
 (** Sample a hierarchy and build the initial structures. *)
-
-val create_with_levels :
-  ?params:params -> k:int -> int array -> Dgraph.Graph.t -> t
-(** Build on externally fixed level memberships (one per vertex, each in
-    [0, k-1]). Levels are immutable for the lifetime of the maintainer:
-    a vertex that leaves keeps its level and owns a singleton cluster
-    while isolated.
-    @raise Invalid_argument on a malformed levels array. *)
 
 val apply :
   ?defer:bool ->
@@ -160,5 +148,3 @@ val k : t -> int
 
 val levels : t -> int array
 (** Copy of the per-vertex hierarchy levels. *)
-
-val pp_repair : Format.formatter -> repair -> unit

@@ -1,0 +1,142 @@
+(** The superstep engine behind the executed Appendix B protocols.
+
+    Every executed phase of the construction is the same primitive: a
+    hop-bounded Bellman–Ford wave closed by barriers over one BFS tree. This
+    module owns everything about that primitive that does not depend on the
+    payload, so {!Dist_scheme} and {!Dist_hopset} keep only their wave
+    logic:
+
+    + setup: the root (vertex 0) floods a BFS tree whose echo tells it when
+      every vertex has a parent; it then opens phase 0;
+    + a {e phase} is a sequence of {e segments}, each a sequence of
+      root-synchronized {e supersteps}. At a superstep's barrier snapshot
+      the protocol queues its offers; a vertex reports [Done] (with the
+      number of payload messages its subtree sent) up the tree once its
+      queues are drained and all its children reported. The root decides
+      one round later: [Advance] opens the next superstep, [Next] closes the
+      segment — on quiescence (a superstep that sent nothing) or when the
+      segment's budget of supersteps is spent. The one-round deferral lets
+      phase/superstep tags go unsent: an [Advance]/[Next] reaches any vertex
+      strictly after every payload message of the superstep it closes (BFS
+      depths of graph neighbours differ by at most 1), and each inbox is
+      handled control first;
+    + payload messages wait in per-port queues drained at the run's edge
+      capacity of 2, sharing each edge's budget with control messages;
+    + a watchdog turns a wedged run (crash-stop faults cutting the barrier
+      tree) into typed {!failure}s instead of a hang, and a link the
+      reliable transport declares dead ends the vertex with [Link_lost];
+    + the root records each phase's measured rounds, every vertex CAS-maxes
+      its declared words into its phase's peak, and the root opens one
+      trace phase span per phase, whose peak memory is filled in after the
+      run.
+
+    The same body runs over the raw {!Congest.Sim} transport or over
+    {!Congest.Reliable}. *)
+
+type failure =
+  | Setup_timeout of { vertex : int; round : int }
+      (** the BFS setup never opened phase 0 at this vertex *)
+  | Stalled of { vertex : int; round : int; phase : string; superstep : int }
+      (** watchdog: no message traffic and no barrier progress for a whole
+          interval — the typed outcome of a wedged run (e.g. a crash-stop
+          fault partitioning the barrier tree) instead of a hang *)
+  | Link_lost of { vertex : int; neighbor : int; reason : string }
+      (** the reliable layer declared an incident edge dead; every edge
+          carries wave data, so the run cannot complete *)
+  | Harvest of { vertex : int; reason : string }
+      (** a protocol found its per-vertex state inconsistent (rejected
+          cluster tree, non-adjacent parent, …) *)
+  | Transport of string  (** simulator-level outcome: deadlock, round limit *)
+
+val failure_to_string : failure -> string
+val pp_failure : Format.formatter -> failure -> unit
+
+(** A protocol's payload messages. The engine adds its own one-slot tag in
+    front of the payload's slots. *)
+module type PAYLOAD = sig
+  type t
+
+  val words : t -> int
+  val slots : int
+  val encode : Congest.Slab.t -> int -> t -> unit
+  val decode : Congest.Slab.t -> int -> t
+end
+
+type 's segment = {
+  kind : 's;  (** the protocol's name for what the segment does *)
+  budget : int;  (** supersteps after which the root closes the segment *)
+}
+
+type 's plan = {
+  setup : string;  (** name of the setup phase *)
+  names : string array;  (** one name per phase *)
+  details : string array;  (** one {!Cost} detail per phase *)
+  segments : 's segment array array;  (** one non-empty plan per phase *)
+}
+
+(** One vertex's protocol: callbacks the engine runs at barrier events, all
+    on the vertex's own state. *)
+type ('p, 's) steps = {
+  seed : unit -> unit;  (** a phase opens *)
+  seg_start : 's -> unit;  (** a segment opens, just before its first snapshot *)
+  snapshot : 's -> unit;
+      (** a superstep opens: queue this superstep's offers *)
+  data : int -> 'p -> unit;  (** a payload message arrived on this port *)
+  seg_end : 's -> unit;  (** the root closed the segment *)
+  phase_end : unit -> unit;  (** after the last segment's [seg_end] *)
+  words : unit -> int;
+      (** the protocol's declared words; the engine adds 2 per queued
+          payload message *)
+}
+
+type result = {
+  report : Congest.Metrics.t;
+  phases : Cost.t;
+      (** measured rounds and peak words per phase, setup first *)
+  failures : failure list;
+      (** transport outcome first, then per-vertex failures by vertex *)
+}
+
+module Make (P : PAYLOAD) : sig
+  type vertex
+  (** One vertex's handle on the engine. *)
+
+  val me : vertex -> int
+  val neighbors : vertex -> int array
+  val weights : vertex -> float array
+  (** [neighbors] and [weights] are indexed by port. *)
+
+  val phase : vertex -> int
+  (** The open phase; [-1] during setup. *)
+
+  val superstep_id : vertex -> int
+  (** Counts every superstep this vertex opened, across segments and
+      phases — a stamp for commits that may only tie within one superstep. *)
+
+  val send : vertex -> int -> P.t -> unit
+  (** Queue a payload message on a port. *)
+
+  val send_all : vertex -> except:int -> P.t -> unit
+  (** Queue a payload message on every port but [except]. *)
+
+  val abort : vertex -> string -> unit
+  (** Record a [Harvest] failure and stop this vertex. *)
+
+  val run :
+    ?faults:Congest.Fault.t ->
+    ?reliable:bool ->
+    ?config:Congest.Reliable.config ->
+    ?trace:Congest.Trace.t ->
+    ?max_rounds:int ->
+    ?scheduler:Congest.Sim.scheduler ->
+    ?domains:int ->
+    Dgraph.Graph.t ->
+    's plan ->
+    (vertex -> (P.t, 's) steps) ->
+    result
+  (** Run the plan on every vertex, the protocol's per-vertex state built
+      by the last argument. [?reliable] defaults to running over
+      {!Congest.Reliable} iff [?faults] is given; the watchdog interval
+      dominates that transport's retransmission budget under the
+      config in use. The other options go to the transport's [run]. *)
+end

@@ -10,8 +10,6 @@ val distances : Graph.t -> src:int -> int array
 val tree : Graph.t -> src:int -> int array
 (** BFS tree as a parent array ([-1] at the root and unreachable vertices). *)
 
-val distances_and_tree : Graph.t -> src:int -> int array * int array
-
 val eccentricity : Graph.t -> src:int -> int
 (** Maximum finite hop distance from [src]. *)
 

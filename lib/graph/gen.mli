@@ -6,16 +6,9 @@
 
 type weight_spec = { wmin : float; wmax : float }
 
-val unit_weights : weight_spec
-(** All weights 1.0. *)
-
 val uniform_weights : float -> float -> weight_spec
 (** Weights uniform in the given interval.
     @raise Invalid_argument unless [0 < wmin <= wmax] *)
-
-val erdos_renyi :
-  rng:Random.State.t -> ?weights:weight_spec -> n:int -> p:float -> unit -> Graph.t
-(** G(n,p): each pair is an edge independently with probability [p]. *)
 
 val gnm : rng:Random.State.t -> ?weights:weight_spec -> n:int -> m:int -> unit -> Graph.t
 (** G(n,m): [m] distinct uniform edges. *)

@@ -50,15 +50,6 @@ let of_edges ~n:nv edge_list =
     adj;
   { adj }
 
-let of_arrays adj =
-  let nv = Array.length adj in
-  Array.iter
-    (Array.iter (fun (v, w) ->
-         if v < 0 || v >= nv then invalid_arg "Graph.of_arrays: vertex range";
-         if w <= 0.0 then invalid_arg "Graph.of_arrays: non-positive weight"))
-    adj;
-  { adj }
-
 let m g = Array.fold_left (fun acc row -> acc + Array.length row) 0 g.adj / 2
 let degree g v = Array.length g.adj.(v)
 let neighbors g v = g.adj.(v)

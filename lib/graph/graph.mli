@@ -17,11 +17,6 @@ val of_edges : n:int -> edge list -> t
     ignored; among parallel edges the minimum weight is kept.
     @raise Invalid_argument on out-of-range endpoints or non-positive weight *)
 
-val of_arrays : (int * float) array array -> t
-(** Adopt prebuilt adjacency arrays (each undirected edge must appear in both
-    endpoint rows with equal weight). Intended for generators; not validated
-    beyond basic range checks. *)
-
 (** {1 Accessors} *)
 
 val n : t -> int

@@ -65,7 +65,6 @@ let pop q =
     Some (key, v)
   end
 
-let peek q = if q.size = 0 then None else Some (q.keys.(0), q.payload.(0))
 let clear q = q.size <- 0
 
 module Int_heap = struct

@@ -21,9 +21,6 @@ val push : t -> key:float -> int -> unit
 val pop : t -> (float * int) option
 (** Remove and return the entry with the minimum key, or [None] if empty. *)
 
-val peek : t -> (float * int) option
-(** Return the minimum entry without removing it. *)
-
 val clear : t -> unit
 (** Remove all entries, keeping the allocated storage. *)
 
@@ -33,7 +30,7 @@ val clear : t -> unit
     schedules (the CONGEST simulator's timer wheel: keys are round numbers,
     payloads are vertex identifiers). The access surface is designed to be
     allocation-free on the hot path: [min_key]/[min_payload]/[drop_min]
-    instead of option-returning [peek]/[pop]. Stale entries are the caller's
+    instead of option-returning [pop]. Stale entries are the caller's
     problem, as in the float heap (lazy deletion). *)
 module Int_heap : sig
   type t

@@ -46,22 +46,6 @@ val bunch_field :
     keep their tentative value, exactly like a protocol wave that receives
     but does not forward. *)
 
-val canonical_parent :
-  Dgraph.Graph.t -> dist:float array -> ?src:int array -> int -> int option
-(** The canonical-parent rule described above; [None] when no neighbour
-    supports the value (degenerate floating-point plateaus). *)
-
-val canonical_path :
-  Dgraph.Graph.t ->
-  dist:float array ->
-  ?src:int array ->
-  target:int ->
-  int ->
-  int array option
-(** Walk canonical parents from a vertex down to [target]; the array starts
-    at the vertex and ends at [target]. [None] if the chain breaks or ends
-    elsewhere. *)
-
 val level_fields :
   Dgraph.Graph.t ->
   int array ->

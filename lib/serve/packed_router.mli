@@ -22,19 +22,14 @@ val buffer : t -> int array
 val route_len : t -> buf:int array -> src:int -> dst:int -> int
 (** Forward hop by hop, writing the path into [buf.(0 .. len-1)] and
     returning its length [len >= 1]. A negative return is a typed-error
-    code (see {!error_of_code}); error payloads land in [buf.(0)] /
+    code ({!route_into} decodes it); error payloads land in [buf.(0)] /
     [buf.(1)]. Allocation-free even on failed queries — the primitive the
     forwarding engine's hot loop calls, since boxing a [result] per query
     would allocate. *)
 
-val error_of_code : t -> buf:int array -> int -> Tz.Routing_error.t
-(** Decode a negative {!route_len} return (reading payloads from [buf])
-    into the same typed error [Tz.Graph_routing.route] would produce.
-    Raises [Invalid_argument] on a non-error code. *)
-
 val route_into :
   t -> buf:int array -> src:int -> dst:int -> (int, Tz.Routing_error.t) result
-(** [route_len] + [error_of_code] packaged as a [result]: writes the path
+(** [route_len] with its error code decoded, packaged as a [result]: writes the path
     into [buf.(0 .. len-1)] and returns its length. Identical decisions
     and errors to [Tz.Graph_routing.route]. *)
 

@@ -14,14 +14,11 @@ type t = {
   dist : (int * float) list;  (** members with their distance to [owner] *)
 }
 
-val of_owner : Dgraph.Graph.t -> Hierarchy.t -> int -> t
-(** Grow the cluster of one vertex by truncated Dijkstra. *)
-
 val of_owner_bound :
   Dgraph.Graph.t -> owner:int -> owner_level:int -> bound:(int -> float) -> t
 (** Same truncated Dijkstra with an explicit truncation radius: a settled
     vertex [v] with distance [d] joins the cluster iff [d < bound v]. This is
-    {!of_owner} with [bound v = d(v, A_{owner_level+1})]; callers that already
+    the truncation {!all} applies, with [bound v = d(v, A_{owner_level+1})]; callers that already
     hold the level distances (e.g. the distributed exact stage) pass them in
     directly instead of rebuilding a hierarchy. *)
 

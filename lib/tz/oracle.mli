@@ -54,8 +54,4 @@ val drop_bunch_entry : t -> v:int -> w:int -> t
     deliberately violating the bunch invariants so corruption detection can
     be exercised. Never use outside tests. *)
 
-val bunch_size : t -> int -> int
-(** Number of words vertex [v] stores: [2·|B(v)| + k] (bunch entries plus
-    pivot list). *)
-
 val max_bunch_size : t -> int

@@ -164,6 +164,109 @@ let prop_hopset_identical =
         ce;
       true)
 
+(* ---------- golden counts: the executed protocol, pinned ---------- *)
+
+(* Fault-free counts of both upper-stage runs at fixed seeds: merged rounds
+   and messages, then (phase, measured rounds, peak declared words) per
+   phase. A change that shifts a barrier by one round, adds a message or
+   changes a declared word fails here. *)
+let check_golden ~seed g ~rounds ~messages ~phases =
+  let _, o = run_gate ~seed ~k:3 g in
+  let report = o.Routing.Dist_hopset.report in
+  Alcotest.(check int) "rounds" rounds report.Congest.Metrics.rounds;
+  Alcotest.(check int) "messages" messages report.Congest.Metrics.messages;
+  Alcotest.(check (list (pair string int)))
+    "phase_rounds"
+    (List.map (fun (name, r, _) -> (name, r)) phases)
+    o.Routing.Dist_hopset.phase_rounds;
+  let upper =
+    match o.Routing.Dist_hopset.upper with
+    | Some u -> u
+    | None -> Alcotest.fail "no upper stage"
+  in
+  Alcotest.(check (list (pair string int)))
+    "peak words per phase"
+    (List.map (fun (name, _, w) -> (name, w)) phases)
+    (List.map
+       (fun (p : Routing.Cost.phase) -> (p.Routing.Cost.name, p.Routing.Cost.peak_memory))
+       (Routing.Cost.phases upper.Routing.Scheme.Upper_stage.phases))
+
+let test_golden_counts () =
+  check_golden ~seed:21
+    (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ())
+    ~rounds:11758 ~messages:71930
+    ~phases:
+      [
+        ("hopset setup (BFS)", 27, 20);
+        ("hopset levels 1", 200, 20);
+        ("hopset levels 2", 225, 20);
+        ("hopset bunches level 0", 175, 92);
+        ("hopset bunches level 1", 175, 36);
+        ("hopset bunches level 2", 325, 36);
+        ("approx setup (BFS)", 27, 112);
+        ("approx pivots level 2", 2806, 156);
+        ("approx clusters level 1", 4160, 672);
+        ("approx clusters level 2", 3614, 428);
+      ];
+  check_golden ~seed:22
+    (Gen.connected_erdos_renyi ~rng:(rng 2)
+       ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ())
+    ~rounds:3043 ~messages:60730
+    ~phases:
+      [
+        ("hopset setup (BFS)", 11, 20);
+        ("hopset levels 1", 54, 20);
+        ("hopset levels 2", 9, 20);
+        ("hopset bunches level 0", 45, 84);
+        ("hopset bunches level 1", 75, 108);
+        ("hopset bunches level 2", 9, 20);
+        ("approx setup (BFS)", 11, 109);
+        ("approx pivots level 2", 692, 173);
+        ("approx clusters level 1", 992, 539);
+        ("approx clusters level 2", 1137, 404);
+      ]
+
+(* ---------- traced phase spans carry the measured peaks ---------- *)
+
+let test_span_peaks () =
+  (* every phase span a traced build_full opens reports the same peak words
+     as the Cost phase of the same name, on both stages *)
+  let check g ~seed =
+    let tr = Congest.Trace.make () in
+    let ds, o, _ =
+      Routing.Dist_hopset.build_full ~rng:(rng seed) ~k:3 ~trace:tr
+        ~max_rounds:500_000 g
+    in
+    let upper =
+      match o with
+      | Some { Routing.Dist_hopset.upper = Some u; _ } -> u
+      | _ -> Alcotest.fail "build_full produced no upper stage"
+    in
+    let cost =
+      Routing.Cost.phases
+        ds.Routing.Dist_scheme.exact.Routing.Scheme.Exact_stage.phases
+      @ Routing.Cost.phases upper.Routing.Scheme.Upper_stage.phases
+    in
+    let spans = Congest.Trace.phases tr in
+    Alcotest.(check int) "one span per phase" (List.length cost) (List.length spans);
+    List.iter
+      (fun s ->
+        let name = Congest.Trace.span_name s in
+        match List.find_opt (fun (p : Routing.Cost.phase) -> p.Routing.Cost.name = name) cost with
+        | None -> Alcotest.failf "span %S has no Cost phase" name
+        | Some p ->
+          if p.Routing.Cost.peak_memory <= 0 then
+            Alcotest.failf "phase %S measured no peak" name;
+          Alcotest.(check int) ("peak words of " ^ name) p.Routing.Cost.peak_memory
+            (Congest.Trace.span_peak_memory s))
+      spans
+  in
+  check (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ()) ~seed:21;
+  check
+    (Gen.connected_erdos_renyi ~rng:(rng 2)
+       ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ())
+    ~seed:22
+
 (* ---------- faults: typed outcome, no upper stage ---------- *)
 
 let test_crash_typed_failure () =
@@ -322,6 +425,11 @@ let () =
             test_gate_sampled_agrees_with_exact;
         ] );
       qsuite "identity" [ prop_hopset_identical ];
+      ( "pinned",
+        [
+          Alcotest.test_case "golden counts (grid, ER)" `Quick test_golden_counts;
+          Alcotest.test_case "phase spans carry peak words" `Quick test_span_peaks;
+        ] );
       ( "faults",
         [
           Alcotest.test_case "crash-stop -> typed failure" `Quick

@@ -137,6 +137,57 @@ let test_deterministic () =
   if o1.Routing.Dist_scheme.virtual_rows <> o2.Routing.Dist_scheme.virtual_rows
   then Alcotest.fail "virtual rows differ across identical runs"
 
+(* ---------- golden counts: the executed protocol, pinned ---------- *)
+
+(* Fault-free counts at fixed seeds: rounds and messages of the run, then
+   (phase, measured rounds, peak declared words) per phase. A change that
+   shifts a barrier by one round, adds a message or changes a declared word
+   fails here, which two runs of the same build cannot show. *)
+let check_golden ~seed g ~rounds ~messages ~phases =
+  let o = run_gate ~seed ~k:3 g in
+  let report = o.Routing.Dist_scheme.report in
+  Alcotest.(check int) "rounds" rounds report.Congest.Metrics.rounds;
+  Alcotest.(check int) "messages" messages report.Congest.Metrics.messages;
+  Alcotest.(check (list (pair string int)))
+    "phase_rounds"
+    (List.map (fun (name, r, _) -> (name, r)) phases)
+    o.Routing.Dist_scheme.phase_rounds;
+  Alcotest.(check (list (pair string int)))
+    "peak words per phase"
+    (List.map (fun (name, _, w) -> (name, w)) phases)
+    (List.map
+       (fun (p : Routing.Cost.phase) -> (p.Routing.Cost.name, p.Routing.Cost.peak_memory))
+       (Routing.Cost.phases
+          o.Routing.Dist_scheme.exact.Routing.Scheme.Exact_stage.phases))
+
+let test_golden_counts () =
+  let grid = Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 () in
+  check_golden ~seed:21 grid ~rounds:565
+    (* the round-0 hierarchy-level announcement (one message per edge
+       direction) was removed: nothing read it *)
+    ~messages:(4797 - (2 * Graph.m grid))
+    ~phases:
+      [
+        ("hierarchy sampling + BFS setup", 27, 20);
+        ("exact pivots level 1", 100, 20);
+        ("exact clusters level 0", 75, 58);
+        ("virtual edges (B-bounded wave)", 351, 100);
+      ];
+  let er =
+    Gen.connected_erdos_renyi ~rng:(rng 2)
+      ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ()
+  in
+  check_golden ~seed:22 er ~rounds:168
+    (* the round-0 hierarchy-level announcement was removed *)
+    ~messages:(5082 - (2 * Graph.m er))
+    ~phases:
+      [
+        ("hierarchy sampling + BFS setup", 11, 20);
+        ("exact pivots level 1", 36, 20);
+        ("exact clusters level 0", 36, 72);
+        ("virtual edges (B-bounded wave)", 81, 158);
+      ]
+
 (* ---------- hop-limited Bellman-Ford vs the distributed waves ---------- *)
 
 let test_virtual_wave_is_bounded_bf () =
@@ -335,6 +386,7 @@ let () =
           Alcotest.test_case "gate holds under faults" `Quick
             test_gate_under_faults;
           Alcotest.test_case "deterministic per seed" `Quick test_deterministic;
+          Alcotest.test_case "golden counts (grid, ER)" `Quick test_golden_counts;
           Alcotest.test_case "watchdog under crash-stop" `Quick
             test_watchdog_crash;
           Alcotest.test_case "watchdog at the backoff boundary" `Quick
