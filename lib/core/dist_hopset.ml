@@ -13,11 +13,12 @@ open Hopsets
    [Construct.assemble], so distributed and centralized edge lists are
    identical whenever the fields are.
 
-   Run B (approximate Bellman-Ford over G' ∪ H) executes [beta] iterations
-   per phase, each a [B]-budget host wave segment followed by a relay
-   segment: every hopset-edge endpoint launches its post-wave value along
-   the stored host path (one hop per superstep, next-hop tables deposited by
-   the construction), and the far endpoint buffers proposals committed at
+   Run B (approximate Bellman-Ford over G' ∪ H) executes up to [beta]
+   iterations per phase (the engine stops the loop at its fixpoint), each
+   a [B]-budget host wave segment followed by a relay segment: every
+   hopset-edge endpoint launches its post-wave value along the stored host
+   path (one hop per superstep, next-hop tables deposited by the
+   construction), and the far endpoint buffers proposals committed at
    the barrier closing the segment by lex-min (value, edge) — a distributed
    Jacobi step, bit-identical to [Hopset.run_core]'s snapshot relaxation.
    Cluster phases append a recovery segment (backward trigger to the
@@ -206,8 +207,8 @@ let construct ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
             | Levels j -> Printf.sprintf "|A^H_%d|=%d" j (count (fun l -> l >= j) hlv)
             | Bunches l -> Printf.sprintf "|owners|=%d" (count (fun x -> x = l) hlv))
           kinds;
-      segments =
-        Array.map (fun _ -> [| { Superstep.kind = (); budget = (2 * n) + 4 } |]) kinds;
+      schedules =
+        Array.map (fun _ -> Superstep.single { kind = (); budget = (2 * n) + 4 }) kinds;
     }
   in
   let hl_dist =
@@ -325,11 +326,14 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
         if p < np then Pivots (ih + 1 + p) else Clusters (ih + (p - np)))
   in
   let cap = (2 * n) + 4 in
-  (* beta iterations of a B-budget host wave then a relay segment *)
+  (* up to beta iterations of a B-budget host wave then a relay segment;
+     the engine ends the loop once an iteration changes nothing *)
   let iterations =
-    Array.init (2 * beta) (fun s ->
-        if s land 1 = 0 then { Superstep.kind = Wave; budget = b }
-        else { Superstep.kind = Hop; budget = cap })
+    {
+      Superstep.loop = [| { kind = Wave; budget = b }; { kind = Hop; budget = cap } |];
+      times = beta;
+      tail = [||];
+    }
   in
   let plan =
     {
@@ -346,16 +350,15 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
             | Pivots j -> Printf.sprintf "|A_%d|=%d" j (count (fun l -> l >= j) xlevels)
             | Clusters i -> Printf.sprintf "|owners|=%d" (count (fun l -> l = i) xlevels))
           kinds;
-      segments =
+      schedules =
         Array.map
           (function
             | Pivots _ -> iterations
             | Clusters _ ->
-              Array.append iterations
-                [|
-                  { Superstep.kind = Recover; budget = cap };
-                  { Superstep.kind = Final; budget = b };
-                |])
+              {
+                iterations with
+                tail = [| { kind = Recover; budget = cap }; { kind = Final; budget = b } |];
+              })
           kinds;
     }
   in
@@ -377,12 +380,19 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
     let rec_prop : (int, float * int) Hashtbl.t = Hashtbl.create 4 in
     let rec0 : (int, float) Hashtbl.t = Hashtbl.create 4 in
     let pending : (int * approx_msg) list ref = ref [] in
+    let n_pending = ref 0 in
+    let clear_pending () =
+      pending := [];
+      n_pending := 0
+    in
     let relay_words = (3 * List.length inc.(me)) + (2 * Hashtbl.length succ.(me)) in
     let fwd_pending ei dir m =
       match Hashtbl.find_opt succ.(me) ((2 * ei) + dir) with
       | Some nxt -> (
         match Hashtbl.find_opt port_of nxt with
-        | Some p -> pending := (p, m) :: !pending
+        | Some p ->
+          pending := (p, m) :: !pending;
+          incr n_pending
         | None -> EB.abort v (Printf.sprintf "relay next hop %d not adjacent" nxt))
       | None -> ()
     in
@@ -471,7 +481,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                 table)
           | Hop | Recover ->
             let ps = !pending in
-            pending := [];
+            clear_pending ();
             List.iter (fun (p, m) -> EB.send v p m) ps);
       data =
         (fun port m ->
@@ -493,7 +503,8 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                 q_org := origin;
                 q_port := port;
                 q_stamp := ss_id;
-                q_dirty := true
+                q_dirty := true;
+                EB.note_change v
               end
             | Clusters _ -> (
               match Hashtbl.find_opt table key with
@@ -509,9 +520,12 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                   e.stamp <- ss_id;
                   e.via_edge <- -1;
                   e.joined <- false;
-                  e.dirty <- true
+                  e.dirty <- true;
+                  EB.note_change v
                 end
-              | None -> Hashtbl.add table key (entry ~port ~origin ~stamp:ss_id nd)))
+              | None ->
+                Hashtbl.add table key (entry ~port ~origin ~stamp:ss_id nd);
+                EB.note_change v))
           | Relay { key; edge; dir; value; origin } ->
             if has_succ edge dir then fwd_pending edge dir m
             else begin
@@ -560,7 +574,8 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                     q_dist := x;
                     q_org := o;
                     q_port := -1;
-                    q_dirty := true
+                    q_dirty := true;
+                    EB.note_change v
                   end)
                 relay_prop
             | Clusters _ ->
@@ -574,12 +589,15 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                       e.via_edge <- ei;
                       e.via_dir <- dir;
                       e.joined <- false;
-                      e.dirty <- true
+                      e.dirty <- true;
+                      EB.note_change v
                     end
-                  | None -> Hashtbl.add table w (entry ~via_edge:ei ~via_dir:dir x))
+                  | None ->
+                    Hashtbl.add table w (entry ~via_edge:ei ~via_dir:dir x);
+                    EB.note_change v)
                 relay_prop);
             Hashtbl.reset relay_prop;
-            pending := []
+            clear_pending ()
           | Recover ->
             Hashtbl.iter
               (fun w (acc, prev) ->
@@ -603,7 +621,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
               rec_prop;
             Hashtbl.reset rec_prop;
             Hashtbl.reset rec0;
-            pending := []);
+            clear_pending ());
       phase_end =
         (fun () ->
           match kinds.(EB.phase v) with
@@ -631,7 +649,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
           + (4 * Hashtbl.length relay_prop)
           + (2 * Hashtbl.length rec_prop)
           + (2 * Hashtbl.length rec0)
-          + (5 * List.length !pending));
+          + (5 * !n_pending));
     }
   in
   let res =
@@ -648,9 +666,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?config ?trace
   let xlevels = exact.Scheme.Exact_stage.levels in
   let lambda = params.Scheme.Params.lambda in
   if lambda < 2 then invalid_arg "Dist_hopset.run: lambda >= 2 required";
-  let beta =
-    match params.Scheme.Params.beta with Some b -> b | None -> max 8 (2 * lambda)
-  in
+  let beta = Scheme.Params.beta params in
   let epsilon = params.Scheme.Params.epsilon in
   let b = ds.Dist_scheme.b in
   let members = ds.Dist_scheme.members in

@@ -97,10 +97,11 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
             | Cluster i -> Printf.sprintf "|owners|=%d" (count (fun l -> l = i))
             | Virtual -> Printf.sprintf "|V'|=%d b=%d" (count (fun l -> l >= ih)) b)
           kinds;
-      segments =
+      schedules =
         Array.map
           (fun kd ->
-            [| { Superstep.kind = (); budget = (if kd = Virtual then b else (2 * n) + 4) } |])
+            Superstep.single
+              { kind = (); budget = (if kd = Virtual then b else (2 * n) + 4) })
           kinds;
     }
   in

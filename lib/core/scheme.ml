@@ -10,6 +10,7 @@ module Params = struct
   }
 
   let default = { epsilon = 0.05; lambda = 3; beta = None; b = None }
+  let beta p = match p.beta with Some b -> b | None -> max 8 (2 * p.lambda)
 
   let pp ppf p =
     let pp_opt ppf = function
@@ -328,9 +329,7 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
   if Array.length exact.Exact_stage.levels <> n then
     invalid_arg "Scheme.build_from_exact: exact stage is for a different graph";
   let nf = float_of_int n in
-  let beta =
-    match params.Params.beta with Some b -> b | None -> max 8 (2 * lambda)
-  in
+  let beta = Params.beta params in
   let d_est = Diameter.hop_diameter_estimate g in
   let hierarchy =
     match hierarchy with

@@ -49,6 +49,10 @@ module Params : sig
   }
 
   val default : t
+
+  val beta : t -> int
+  (** The hop bound in effect: [beta], or its default [max 8 (2·lambda)]. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

@@ -1,10 +1,11 @@
 open Dgraph
 
 (* The superstep engine: one BFS tree rooted at vertex 0 synchronizes a
-   sequence of phases; each phase is a sequence of segments, each a sequence
-   of supersteps closed by an Advance/Done barrier over the tree. The
-   protocol decides what a superstep offers; the engine queues, drains,
-   counts and closes. *)
+   sequence of phases; each phase is a sequence of segments (a loop that
+   stops at its fixpoint, then a tail), each a sequence of supersteps closed
+   by an Advance/Done barrier over the tree. The protocol decides what a
+   superstep offers and reports its state changes; the engine queues,
+   drains, counts and closes. *)
 
 type failure =
   | Setup_timeout of { vertex : int; round : int }
@@ -37,11 +38,15 @@ end
 
 type 's segment = { kind : 's; budget : int }
 
+type 's schedule = { loop : 's segment array; times : int; tail : 's segment array }
+
+let single seg = { loop = [| seg |]; times = 1; tail = [||] }
+
 type 's plan = {
   setup : string;
   names : string array;
   details : string array;
-  segments : 's segment array array;
+  schedules : 's schedule array;
 }
 
 type ('p, 's) steps = {
@@ -71,24 +76,25 @@ module Make (P : PAYLOAD) = struct
     | Bfs of { depth : int }
     | Bfs_adopt
     | Bfs_echo
-    | Done of { sent : int }
+    | Done of { sent : int; changes : int }
     | Advance
-    | Next
+    | Next of { target : int }  (* the segment to open; past the last = phase end *)
     | Data of P.t
 
   module M = struct
     type t = msg
 
     let words = function
-      | Bfs_adopt | Bfs_echo | Advance | Next -> 1
-      | Bfs _ | Done _ -> 2
+      | Bfs_adopt | Bfs_echo | Advance -> 1
+      | Bfs _ | Next _ -> 2
+      | Done _ -> 3
       | Data p -> P.words p
 
     (* Slab codec: the engine's tag, then the control field or the
        payload's own slots. *)
     module Sl = Congest.Slab
 
-    let slots = 1 + max 1 P.slots
+    let slots = 1 + max 2 P.slots
 
     let encode sl b = function
       | Bfs { depth } ->
@@ -96,11 +102,14 @@ module Make (P : PAYLOAD) = struct
         Sl.set sl (b + 1) depth
       | Bfs_adopt -> Sl.set sl b 1
       | Bfs_echo -> Sl.set sl b 2
-      | Done { sent } ->
+      | Done { sent; changes } ->
         Sl.set sl b 3;
-        Sl.set sl (b + 1) sent
+        Sl.set sl (b + 1) sent;
+        Sl.set sl (b + 2) changes
       | Advance -> Sl.set sl b 4
-      | Next -> Sl.set sl b 5
+      | Next { target } ->
+        Sl.set sl b 5;
+        Sl.set sl (b + 1) target
       | Data p ->
         Sl.set sl b 6;
         P.encode sl (b + 1) p
@@ -110,9 +119,9 @@ module Make (P : PAYLOAD) = struct
       | 0 -> Bfs { depth = Sl.get sl (b + 1) }
       | 1 -> Bfs_adopt
       | 2 -> Bfs_echo
-      | 3 -> Done { sent = Sl.get sl (b + 1) }
+      | 3 -> Done { sent = Sl.get sl (b + 1); changes = Sl.get sl (b + 2) }
       | 4 -> Advance
-      | 5 -> Next
+      | 5 -> Next { target = Sl.get sl (b + 1) }
       | 6 -> Data (P.decode sl (b + 1))
       | t -> invalid_arg (Printf.sprintf "Superstep: corrupt tag %d" t)
   end
@@ -129,6 +138,7 @@ module Make (P : PAYLOAD) = struct
     queues : P.t Queue.t array;
     mutable queued : int;
     mutable own_sent : int;  (* payload messages queued this superstep *)
+    mutable changes : int;  (* state changes noted since the last Done *)
     mutable phase : int;
     mutable ss_id : int;
     mutable finished : bool;
@@ -153,6 +163,8 @@ module Make (P : PAYLOAD) = struct
 
   (* single writer: a vertex only writes its own slot *)
   let fail v f = v.slots.(v.me) <- f :: v.slots.(v.me)
+
+  let note_change v = v.changes <- v.changes + 1
 
   let abort v reason =
     fail v (Harvest { vertex = v.me; reason });
@@ -199,6 +211,7 @@ module Make (P : PAYLOAD) = struct
           queues = Array.init (max 1 deg) (fun _ -> Queue.create ());
           queued = 0;
           own_sent = 0;
+          changes = 0;
           phase = -1;
           ss_id = 0;
           finished = false;
@@ -220,13 +233,15 @@ module Make (P : PAYLOAD) = struct
       and echoes = ref 0 in
       let is_child = Array.make (max 1 deg) false in
       (* ---- barrier state ---- *)
-      let segs = ref [||]
+      let sched = ref { loop = [||]; times = 0; tail = [||] }
       and seg = ref 0
       and superstep = ref 0
       and in_superstep = ref false
       and done_sent = ref false
       and done_children = ref 0
       and children_sent = ref 0
+      and children_changes = ref 0
+      and since_first = ref 0  (* root: changes since the loop's first segment closed *)
       and phase_start = ref 0
       and last_drain = ref (-1)
       and last_progress = ref 0 in
@@ -265,13 +280,22 @@ module Make (P : PAYLOAD) = struct
         T.set_memory words;
         peak_max phase_peak.(min n_phases (v.phase + 1)) words
       in
-      let kind () = (!segs).(!seg).kind in
+      (* segments are numbered pass by pass through the loop, then the tail;
+         one past the last ends the phase *)
+      let looped () = !sched.times * Array.length !sched.loop in
+      let n_segs () = looped () + Array.length !sched.tail in
+      let segment s =
+        if s < looped () then !sched.loop.(s mod Array.length !sched.loop)
+        else !sched.tail.(s - looped ())
+      in
+      let kind () = (segment !seg).kind in
       (* barrier snapshot: the protocol queues this superstep's offers *)
       let snapshot () =
         in_superstep := true;
         done_sent := false;
         done_children := 0;
         children_sent := 0;
+        children_changes := 0;
         v.own_sent <- 0;
         v.ss_id <- v.ss_id + 1;
         st.snapshot (kind ())
@@ -287,22 +311,22 @@ module Make (P : PAYLOAD) = struct
         else begin
           phase_trace (name v.phase);
           if is_root then phase_start := T.round ();
-          segs := plan.segments.(v.phase);
+          sched := plan.schedules.(v.phase);
           st.seed ();
           st.seg_start (kind ());
           snapshot ()
         end
       in
-      let on_next () =
+      let on_next target =
         if v.phase < 0 then begin
           phase_trace_end ();
           open_phase ()
         end
         else begin
           st.seg_end (kind ());
-          incr seg;
+          seg := target;
           superstep := 0;
-          if !seg >= Array.length !segs then begin
+          if target >= n_segs () then begin
             st.phase_end ();
             open_phase ()
           end
@@ -315,8 +339,21 @@ module Make (P : PAYLOAD) = struct
       let start_phases () =
         (* setup complete at the root: record its span, open phase 0 *)
         marks := (-1, T.round ()) :: !marks;
-        bc_down Next;
-        on_next ()
+        bc_down (Next { target = 0 });
+        on_next 0
+      in
+      (* root only: the segment to open after the current one closes. When
+         the loop's first segment closes on quiescence in a later pass and
+         nothing changed since it closed in the previous pass, the rest of
+         the loop would repeat that pass's no-op: jump to the tail. *)
+      let next_segment ~quiescent =
+        let s = !seg in
+        if s < looped () && s mod Array.length !sched.loop = 0 then begin
+          let fixpoint = s > 0 && quiescent && !since_first = 0 in
+          since_first := 0;
+          if fixpoint then looped () else s + 1
+        end
+        else s + 1
       in
       let maybe_complete () =
         if
@@ -332,7 +369,13 @@ module Make (P : PAYLOAD) = struct
           else if port_used !bfs_parent_port < 2 then begin
             done_sent := true;
             in_superstep := false;
-            send_ctrl !bfs_parent_port (Done { sent = v.own_sent + !children_sent })
+            send_ctrl !bfs_parent_port
+              (Done
+                 {
+                   sent = v.own_sent + !children_sent;
+                   changes = v.changes + !children_changes;
+                 });
+            v.changes <- 0
           end
           else
             (* parent edge is at capacity this round (the drain just emptied
@@ -359,19 +402,20 @@ module Make (P : PAYLOAD) = struct
           if !echoes = !bfs_children then
             if is_root then start_phases ()
             else send_ctrl !bfs_parent_port Bfs_echo
-        | Done { sent } ->
+        | Done { sent; changes } ->
           incr done_children;
-          children_sent := !children_sent + sent
+          children_sent := !children_sent + sent;
+          children_changes := !children_changes + changes
         | Advance ->
           if port = !bfs_parent_port then begin
             bc_down Advance;
             incr superstep;
             snapshot ()
           end
-        | Next ->
+        | Next { target } ->
           if port = !bfs_parent_port then begin
-            bc_down Next;
-            on_next ()
+            bc_down m;
+            on_next target
           end
         | Data d -> st.data port d
       in
@@ -382,12 +426,15 @@ module Make (P : PAYLOAD) = struct
             else send_ctrl !bfs_parent_port Bfs_echo
         | Decide ->
           let total = v.own_sent + !children_sent in
+          since_first := !since_first + v.changes + !children_changes;
+          v.changes <- 0;
           incr superstep;
-          if total = 0 || !superstep >= (!segs).(!seg).budget then begin
-            if !seg = Array.length !segs - 1 then
+          if total = 0 || !superstep >= (segment !seg).budget then begin
+            let target = next_segment ~quiescent:(total = 0) in
+            if target >= n_segs () then
               marks := (v.phase, T.round () - !phase_start) :: !marks;
-            bc_down Next;
-            on_next ()
+            bc_down (Next { target });
+            on_next target
           end
           else begin
             bc_down Advance;

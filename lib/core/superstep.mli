@@ -11,15 +11,28 @@
     + a {e phase} is a sequence of {e segments}, each a sequence of
       root-synchronized {e supersteps}. At a superstep's barrier snapshot
       the protocol queues its offers; a vertex reports [Done] (with the
-      number of payload messages its subtree sent) up the tree once its
+      number of payload messages its subtree sent and the number of state
+      changes its subtree noted, {!Make.note_change}) up the tree once its
       queues are drained and all its children reported. The root decides
       one round later: [Advance] opens the next superstep, [Next] closes the
       segment — on quiescence (a superstep that sent nothing) or when the
-      segment's budget of supersteps is spent. The one-round deferral lets
-      phase/superstep tags go unsent: an [Advance]/[Next] reaches any vertex
-      strictly after every payload message of the superstep it closes (BFS
-      depths of graph neighbours differ by at most 1), and each inbox is
-      handled control first;
+      segment's budget of supersteps is spent — and names the segment every
+      vertex opens next. The one-round deferral lets phase/superstep tags go
+      unsent: an [Advance]/[Next] reaches any vertex strictly after every
+      payload message of the superstep it closes (BFS depths of graph
+      neighbours differ by at most 1), and each inbox is handled control
+      first;
+    + a phase's segments are a {!schedule}: a loop of segments run up to
+      [times] passes, then a tail. The loop ends early at its {e fixpoint}:
+      when the loop's first segment closes on quiescence, in any pass but
+      the first, and no change was noted anywhere since it closed in the
+      previous pass, the root's [Next] jumps straight to the tail. That
+      pass and all later ones would repeat the previous pass's no-op
+      exactly, provided a pass is a deterministic function of the state the
+      protocol reports changes of. Changes made in [seg_end] are reported
+      in the next segment's first [Done]; a budget close may leave payload
+      in flight whose commits come after a [Done], hence the quiescence
+      condition;
     + payload messages wait in per-port queues drained at the run's edge
       capacity of 2, sharing each edge's budget with control messages;
     + a watchdog turns a wedged run (crash-stop faults cutting the barrier
@@ -67,11 +80,22 @@ type 's segment = {
   budget : int;  (** supersteps after which the root closes the segment *)
 }
 
+(** A phase's segments: [loop] run [times] passes (fewer once it reaches
+    its fixpoint), then [tail] once. *)
+type 's schedule = {
+  loop : 's segment array;  (** non-empty *)
+  times : int;  (** at least 1 *)
+  tail : 's segment array;
+}
+
+val single : 's segment -> 's schedule
+(** One segment, run once: a schedule that never exits early. *)
+
 type 's plan = {
   setup : string;  (** name of the setup phase *)
   names : string array;  (** one name per phase *)
   details : string array;  (** one {!Cost} detail per phase *)
-  segments : 's segment array array;  (** one non-empty plan per phase *)
+  schedules : 's schedule array;  (** one per phase *)
 }
 
 (** One vertex's protocol: callbacks the engine runs at barrier events, all
@@ -118,6 +142,11 @@ module Make (P : PAYLOAD) : sig
 
   val send_all : vertex -> except:int -> P.t -> unit
   (** Queue a payload message on every port but [except]. *)
+
+  val note_change : vertex -> unit
+  (** Report that this vertex's protocol state just changed (a commit that
+      altered or added an entry). The fixpoint exit of a schedule's loop
+      is exact only if every such change is noted. *)
 
   val abort : vertex -> string -> unit
   (** Record a [Harvest] failure and stop this vertex. *)

@@ -114,6 +114,34 @@ let test_gate_sampled_agrees_with_exact () =
           (List.length errs) (concat_take 5 errs))
     [ 1; 8; 1000 (* > population: degenerates to exhaustive *) ]
 
+(* ---------- the fixpoint exit: free and exact ---------- *)
+
+(* The approx phases' beta-iteration loop ends once an iteration changes
+   nothing, so raising beta past the fixpoint changes neither the harvest
+   nor a single measured round; the gate (run at each beta) holds both
+   times. *)
+let check_beta_free ?b ~seed g =
+  let beta x = { Routing.Scheme.Params.default with beta = Some x } in
+  let _, o8 = run_gate ?b ~params:(beta 8) ~seed ~k:3 g in
+  let _, o32 = run_gate ?b ~params:(beta 32) ~seed ~k:3 g in
+  if o8.Routing.Dist_hopset.upper <> o32.Routing.Dist_hopset.upper then
+    Alcotest.fail "upper stage differs between beta = 8 and beta = 32";
+  Alcotest.(check (list (pair string int)))
+    "phase_rounds at beta = 8 and 32" o8.Routing.Dist_hopset.phase_rounds
+    o32.Routing.Dist_hopset.phase_rounds
+
+let test_exit_free_and_exact () =
+  check_beta_free ~seed:21 (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ());
+  check_beta_free ~seed:22
+    (Gen.connected_erdos_renyi ~rng:(rng 2)
+       ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ())
+
+let test_exit_small_b () =
+  (* b = 3 cuts the host waves below the hop diameter: wave segments close
+     on their budget with offers in flight, where the exit must not fire,
+     and the hopset relays carry real traffic before the fixpoint *)
+  check_beta_free ~b:3 ~seed:21 (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ())
+
 (* ---------- hopset identity: distributed = centralized, edge for edge ----- *)
 
 let prop_hopset_identical =
@@ -194,7 +222,7 @@ let check_golden ~seed g ~rounds ~messages ~phases =
 let test_golden_counts () =
   check_golden ~seed:21
     (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ())
-    ~rounds:11758 ~messages:71930
+    ~rounds:3760 ~messages:20937
     ~phases:
       [
         ("hopset setup (BFS)", 27, 20);
@@ -204,14 +232,14 @@ let test_golden_counts () =
         ("hopset bunches level 1", 175, 36);
         ("hopset bunches level 2", 325, 36);
         ("approx setup (BFS)", 27, 112);
-        ("approx pivots level 2", 2806, 156);
-        ("approx clusters level 1", 4160, 672);
-        ("approx clusters level 2", 3614, 428);
+        ("approx pivots level 2", 532, 156);
+        ("approx clusters level 1", 1241, 672);
+        ("approx clusters level 2", 809, 428);
       ];
   check_golden ~seed:22
     (Gen.connected_erdos_renyi ~rng:(rng 2)
        ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ())
-    ~rounds:3043 ~messages:60730
+    ~rounds:1081 ~messages:21496
     ~phases:
       [
         ("hopset setup (BFS)", 11, 20);
@@ -221,9 +249,9 @@ let test_golden_counts () =
         ("hopset bunches level 1", 75, 108);
         ("hopset bunches level 2", 9, 20);
         ("approx setup (BFS)", 11, 109);
-        ("approx pivots level 2", 692, 173);
-        ("approx clusters level 1", 992, 539);
-        ("approx clusters level 2", 1137, 404);
+        ("approx pivots level 2", 136, 173);
+        ("approx clusters level 1", 316, 539);
+        ("approx clusters level 2", 407, 404);
       ]
 
 (* ---------- traced phase spans carry the measured peaks ---------- *)
@@ -429,6 +457,12 @@ let () =
         [
           Alcotest.test_case "golden counts (grid, ER)" `Quick test_golden_counts;
           Alcotest.test_case "phase spans carry peak words" `Quick test_span_peaks;
+        ] );
+      ( "fixpoint",
+        [
+          Alcotest.test_case "beta 8 = beta 32 (grid, ER)" `Quick
+            test_exit_free_and_exact;
+          Alcotest.test_case "budget-closed waves (b=3)" `Quick test_exit_small_b;
         ] );
       ( "faults",
         [
