@@ -9,21 +9,23 @@ open Hopsets
    wave per hopset level, then one truncated wave per bunch level with every
    owner of that level concurrent — a vertex forwards an owner's entry only
    while it lies under the vertex's own level field, exactly the
-   superclustering pruning rule. The harvested fields feed the *shared*
-   [Construct.assemble], so distributed and centralized edge lists are
-   identical whenever the fields are.
+   superclustering pruning rule. Both are order-independent fixpoints, so
+   every run-A phase is one free segment (offers forwarded on arrival).
+   The harvested fields feed the *shared* [Construct.assemble], so
+   distributed and centralized edge lists are identical whenever the
+   fields are.
 
    Run B (approximate Bellman-Ford over G' ∪ H) executes up to [beta]
    iterations per phase (the engine stops the loop at its fixpoint), each
    a [B]-budget host wave segment followed by a relay segment: every
    hopset-edge endpoint launches its post-wave value along the stored host
-   path (one hop per superstep, next-hop tables deposited by the
-   construction), and the far endpoint buffers proposals committed at
-   the barrier closing the segment by lex-min (value, edge) — a distributed
-   Jacobi step, bit-identical to [Hopset.run_core]'s snapshot relaxation.
-   Cluster phases append a recovery segment (backward trigger to the
-   feeding endpoint, then a forward accumulating walk whose proposals
-   commit at the segment barrier by lex-min (acc, prev)) and a final
+   path (a free segment: forwarded on arrival, next-hop tables deposited
+   by the construction), and the far endpoint buffers proposals committed
+   when the segment closes by lex-min (value, edge) — a distributed Jacobi
+   step, bit-identical to [Hopset.run_core]'s snapshot relaxation. Cluster
+   phases append a free recovery segment (backward trigger to the feeding
+   endpoint, then a forward accumulating walk whose proposals commit at
+   the segment close by lex-min (acc, prev)) and a final
    [B]-budget limited wave — mirroring [Scheme.approx_cluster_candidates]
    clause for clause.
 
@@ -208,7 +210,7 @@ let construct ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
             | Bunches l -> Printf.sprintf "|owners|=%d" (count (fun x -> x = l) hlv))
           kinds;
       schedules =
-        Array.map (fun _ -> Superstep.single { kind = (); budget = (2 * n) + 4 }) kinds;
+        Array.map (fun _ -> Superstep.single { kind = (); mode = Free }) kinds;
     }
   in
   let hl_dist =
@@ -325,12 +327,12 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
     Array.init (np + (k - ih)) (fun p ->
         if p < np then Pivots (ih + 1 + p) else Clusters (ih + (p - np)))
   in
-  let cap = (2 * n) + 4 in
-  (* up to beta iterations of a B-budget host wave then a relay segment;
-     the engine ends the loop once an iteration changes nothing *)
+  (* up to beta iterations of a B-budget host wave then a free relay
+     segment; the engine ends the loop once an iteration changes nothing *)
   let iterations =
     {
-      Superstep.loop = [| { kind = Wave; budget = b }; { kind = Hop; budget = cap } |];
+      Superstep.loop =
+        [| { kind = Wave; mode = Lockstep b }; { kind = Hop; mode = Free } |];
       times = beta;
       tail = [||];
     }
@@ -357,7 +359,8 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
             | Clusters _ ->
               {
                 iterations with
-                tail = [| { kind = Recover; budget = cap }; { kind = Final; budget = b } |];
+                tail =
+                  [| { kind = Recover; mode = Free }; { kind = Final; mode = Lockstep b } |];
               })
           kinds;
     }
@@ -379,20 +382,14 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
     let relay_prop : (int, float * int * int * int) Hashtbl.t = Hashtbl.create 4 in
     let rec_prop : (int, float * int) Hashtbl.t = Hashtbl.create 4 in
     let rec0 : (int, float) Hashtbl.t = Hashtbl.create 4 in
-    let pending : (int * approx_msg) list ref = ref [] in
-    let n_pending = ref 0 in
-    let clear_pending () =
-      pending := [];
-      n_pending := 0
-    in
     let relay_words = (3 * List.length inc.(me)) + (2 * Hashtbl.length succ.(me)) in
-    let fwd_pending ei dir m =
+    (* one hop along a stored path; relay and recovery segments are free, so
+       the hop is sent on arrival *)
+    let fwd ei dir m =
       match Hashtbl.find_opt succ.(me) ((2 * ei) + dir) with
       | Some nxt -> (
         match Hashtbl.find_opt port_of nxt with
-        | Some p ->
-          pending := (p, m) :: !pending;
-          incr n_pending
+        | Some p -> EB.send v p m
         | None -> EB.abort v (Printf.sprintf "relay next hop %d not adjacent" nxt))
       | None -> ()
     in
@@ -425,7 +422,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
               if !q_dist < infinity then
                 List.iter
                   (fun (ei, dir, w) ->
-                    fwd_pending ei dir
+                    fwd ei dir
                       (Relay { key = 0; edge = ei; dir; value = !q_dist +. w; origin = !q_org }))
                   inc.(me)
             | Clusters i ->
@@ -435,7 +432,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                   then
                     List.iter
                       (fun (ei, dir, ew) ->
-                        fwd_pending ei dir
+                        fwd ei dir
                           (Relay { key = w; edge = ei; dir; value = e.d +. ew; origin = -1 }))
                       inc.(me))
                 table)
@@ -452,13 +449,13 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                     e.via_edge >= 0 && e.d < infinity
                     && e.d *. one_eps *. one_eps < my_dhat.(i + 1)
                   then
-                    fwd_pending e.via_edge (1 - e.via_dir)
+                    fwd e.via_edge (1 - e.via_dir)
                       (Rec_req { key = w; edge = e.via_edge; dir = e.via_dir }))
                 table
             | Pivots _ -> ()));
-      (* barrier snapshot: wave segments offer dirty entries (subject to the
-         forwarding predicate), relay/recovery segments flush the one-hop
-         forwards accumulated since the previous barrier *)
+      (* snapshot: wave segments offer dirty entries (subject to the
+         forwarding predicate); relay/recovery segments send in [seg_start]
+         and [data] *)
       snapshot =
         (function
           | Wave | Final -> (
@@ -479,10 +476,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                         (Offer2 { key = w; dist = e.d; origin = e.origin })
                   end)
                 table)
-          | Hop | Recover ->
-            let ps = !pending in
-            clear_pending ();
-            List.iter (fun (p, m) -> EB.send v p m) ps);
+          | Hop | Recover -> ());
       data =
         (fun port m ->
           match m with
@@ -527,23 +521,23 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                 Hashtbl.add table key (entry ~port ~origin ~stamp:ss_id nd);
                 EB.note_change v))
           | Relay { key; edge; dir; value; origin } ->
-            if has_succ edge dir then fwd_pending edge dir m
+            if has_succ edge dir then fwd edge dir m
             else begin
-              (* destination endpoint: buffer, committed at the segment
-                 barrier by lex-min (value, edge) — the Jacobi tie-break *)
+              (* destination endpoint: buffer, committed when the segment
+                 closes by lex-min (value, edge) — the Jacobi tie-break *)
               match Hashtbl.find_opt relay_prop key with
               | Some (v0, e0, _, _) when (v0, e0) <= (value, edge) -> ()
               | _ -> Hashtbl.replace relay_prop key (value, edge, dir, origin)
             end
           | Rec_req { key; edge; dir } ->
-            if has_succ edge (1 - dir) then fwd_pending edge (1 - dir) m
+            if has_succ edge (1 - dir) then fwd edge (1 - dir) m
             else begin
               (* feeding endpoint: start the accumulating walk from my own
                  pre-recovery candidate *)
               let acc =
                 match Hashtbl.find_opt rec0 key with Some d -> d | None -> infinity
               in
-              fwd_pending edge dir (Rec { key; edge; dir; acc })
+              fwd edge dir (Rec { key; edge; dir; acc })
             end
           | Rec { key; edge; dir; acc } ->
             let acc' = acc +. weights.(port) in
@@ -558,10 +552,10 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
               | Some (a0, p0) when (a0, p0) <= (acc', prev) -> ()
               | _ -> Hashtbl.replace rec_prop key (acc', prev)
             end;
-            if has_succ edge dir then fwd_pending edge dir (Rec { key; edge; dir; acc = acc' }));
-      (* proposals buffered during a relay/recovery segment commit at the
-         barrier that closes it — all derived from the same snapshot, so the
-         result is independent of arrival order *)
+            if has_succ edge dir then fwd edge dir (Rec { key; edge; dir; acc = acc' }));
+      (* proposals buffered during a relay/recovery segment commit when it
+         closes — all derived from the same snapshot, so the result is
+         independent of arrival order *)
       seg_end =
         (function
           | Wave | Final -> ()
@@ -596,8 +590,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                     Hashtbl.add table w (entry ~via_edge:ei ~via_dir:dir x);
                     EB.note_change v)
                 relay_prop);
-            Hashtbl.reset relay_prop;
-            clear_pending ()
+            Hashtbl.reset relay_prop
           | Recover ->
             Hashtbl.iter
               (fun w (acc, prev) ->
@@ -620,8 +613,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
                 end)
               rec_prop;
             Hashtbl.reset rec_prop;
-            Hashtbl.reset rec0;
-            clear_pending ());
+            Hashtbl.reset rec0);
       phase_end =
         (fun () ->
           match kinds.(EB.phase v) with
@@ -648,8 +640,7 @@ let approximate ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains
           + (8 * Hashtbl.length table)
           + (4 * Hashtbl.length relay_prop)
           + (2 * Hashtbl.length rec_prop)
-          + (2 * Hashtbl.length rec0)
-          + (5 * !n_pending));
+          + (2 * Hashtbl.length rec0));
     }
   in
   let res =

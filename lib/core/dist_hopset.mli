@@ -22,19 +22,20 @@
       harvested fields feed the {e shared}
       {!Hopsets.Construct.assemble}, so the distributed edge list is
       bit-identical to {!Hopsets.Construct.tz_hopset} whenever the fields
-      are;
+      are. Every run-A wave is a free segment (offers forwarded on
+      arrival): both fixpoints are independent of arrival order;
     + {e run B (approximation)} executes, per high level, up to [β]
       iterations of {e [B]-budget host wave} then {e relay segment}: hopset-edge
       endpoints launch their post-wave values along the stored host paths
-      (one hop per superstep, next-hop tables deposited from run A's edge
-      list), the far endpoint buffers proposals and commits them at the
-      barrier closing the segment by lex-min [(value, edge)] — a
+      (a free segment: forwarded on arrival, next-hop tables deposited from
+      run A's edge list), the far endpoint buffers proposals and commits
+      them when the segment closes by lex-min [(value, edge)] — a
       distributed Jacobi step, bit-identical to [Hopset.run_core]'s
       snapshot relaxation. The loop stops early, exactly, once a whole
       iteration changed no estimate ({!Superstep.schedule}'s fixpoint
-      exit). Cluster phases append a {e recovery segment}
+      exit). Cluster phases append a free {e recovery segment}
       (backward trigger to the feeding endpoint, forward accumulating walk,
-      barrier commit by lex-min [(acc, prev)]) and a final [B]-budget
+      commit at the close by lex-min [(acc, prev)]) and a final [B]-budget
       limited wave, mirroring {!Scheme.approx_cluster_candidates} clause
       for clause.
 

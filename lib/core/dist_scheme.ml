@@ -101,7 +101,7 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
         Array.map
           (fun kd ->
             Superstep.single
-              { kind = (); budget = (if kd = Virtual then b else (2 * n) + 4) })
+              { kind = (); mode = Lockstep (if kd = Virtual then b else (2 * n) + 4) })
           kinds;
     }
   in

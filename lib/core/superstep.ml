@@ -2,10 +2,12 @@ open Dgraph
 
 (* The superstep engine: one BFS tree rooted at vertex 0 synchronizes a
    sequence of phases; each phase is a sequence of segments (a loop that
-   stops at its fixpoint, then a tail), each a sequence of supersteps closed
-   by an Advance/Done barrier over the tree. The protocol decides what a
-   superstep offers and reports its state changes; the engine queues,
-   drains, counts and closes. *)
+   stops at its fixpoint, then a tail). A lockstep segment is a sequence of
+   supersteps closed by an Advance/Done barrier over the tree; a free
+   segment forwards payload on arrival and the same convergecast only
+   counts, closing the segment once two probes agree. The protocol decides
+   what a superstep offers and reports its state changes; the engine
+   queues, drains, counts and closes. *)
 
 type failure =
   | Setup_timeout of { vertex : int; round : int }
@@ -18,8 +20,8 @@ let failure_to_string = function
   | Setup_timeout { vertex; round } ->
     Printf.sprintf "v%d: setup timed out: no phase start by round %d" vertex round
   | Stalled { vertex; round; phase; superstep } ->
-    Printf.sprintf "v%d: watchdog: no traffic or progress by round %d (phase %s, superstep %d)"
-      vertex round phase superstep
+    Printf.sprintf "v%d: stalled by round %d (phase %s, superstep %d)" vertex round
+      phase superstep
   | Link_lost { vertex; neighbor; reason } ->
     Printf.sprintf "v%d: link to v%d lost: %s" vertex neighbor reason
   | Harvest { vertex; reason } -> Printf.sprintf "v%d: %s" vertex reason
@@ -36,7 +38,9 @@ module type PAYLOAD = sig
   val decode : Congest.Slab.t -> int -> t
 end
 
-type 's segment = { kind : 's; budget : int }
+type mode = Lockstep of int | Free
+
+type 's segment = { kind : 's; mode : mode }
 
 type 's schedule = { loop : 's segment array; times : int; tail : 's segment array }
 
@@ -67,6 +71,9 @@ type result = {
 
 type action = Echo_check | Decide | Complete | Watchdog
 
+(* a free segment that has not balanced after this many probes is wedged *)
+let probe_cap n = (2 * n) + 4
+
 let rec peak_max cell v =
   let cur = Atomic.get cell in
   if v > cur && not (Atomic.compare_and_set cell cur v) then peak_max cell v
@@ -76,25 +83,26 @@ module Make (P : PAYLOAD) = struct
     | Bfs of { depth : int }
     | Bfs_adopt
     | Bfs_echo
-    | Done of { sent : int; changes : int }
+    | Done of { sent : int; received : int; changes : int }
     | Advance
     | Next of { target : int }  (* the segment to open; past the last = phase end *)
+    | Abort  (* the root gave up on a free segment that never balanced *)
     | Data of P.t
 
   module M = struct
     type t = msg
 
     let words = function
-      | Bfs_adopt | Bfs_echo | Advance -> 1
+      | Bfs_adopt | Bfs_echo | Advance | Abort -> 1
       | Bfs _ | Next _ -> 2
-      | Done _ -> 3
+      | Done _ -> 4
       | Data p -> P.words p
 
     (* Slab codec: the engine's tag, then the control field or the
        payload's own slots. *)
     module Sl = Congest.Slab
 
-    let slots = 1 + max 2 P.slots
+    let slots = 1 + max 3 P.slots
 
     let encode sl b = function
       | Bfs { depth } ->
@@ -102,10 +110,11 @@ module Make (P : PAYLOAD) = struct
         Sl.set sl (b + 1) depth
       | Bfs_adopt -> Sl.set sl b 1
       | Bfs_echo -> Sl.set sl b 2
-      | Done { sent; changes } ->
+      | Done { sent; received; changes } ->
         Sl.set sl b 3;
         Sl.set sl (b + 1) sent;
-        Sl.set sl (b + 2) changes
+        Sl.set sl (b + 2) received;
+        Sl.set sl (b + 3) changes
       | Advance -> Sl.set sl b 4
       | Next { target } ->
         Sl.set sl b 5;
@@ -113,16 +122,24 @@ module Make (P : PAYLOAD) = struct
       | Data p ->
         Sl.set sl b 6;
         P.encode sl (b + 1) p
+      | Abort -> Sl.set sl b 7
 
     let decode sl b =
       match Sl.get sl b with
       | 0 -> Bfs { depth = Sl.get sl (b + 1) }
       | 1 -> Bfs_adopt
       | 2 -> Bfs_echo
-      | 3 -> Done { sent = Sl.get sl (b + 1); changes = Sl.get sl (b + 2) }
+      | 3 ->
+        Done
+          {
+            sent = Sl.get sl (b + 1);
+            received = Sl.get sl (b + 2);
+            changes = Sl.get sl (b + 3);
+          }
       | 4 -> Advance
       | 5 -> Next { target = Sl.get sl (b + 1) }
       | 6 -> Data (P.decode sl (b + 1))
+      | 7 -> Abort
       | t -> invalid_arg (Printf.sprintf "Superstep: corrupt tag %d" t)
   end
 
@@ -137,7 +154,10 @@ module Make (P : PAYLOAD) = struct
     weights : float array;
     queues : P.t Queue.t array;
     mutable queued : int;
-    mutable own_sent : int;  (* payload messages queued this superstep *)
+    mutable own_sent : int;
+        (* payload messages queued this superstep (lockstep) or since the
+           segment opened (free) *)
+    mutable own_received : int;  (* payload messages handled, likewise *)
     mutable changes : int;  (* state changes noted since the last Done *)
     mutable phase : int;
     mutable ss_id : int;
@@ -211,6 +231,7 @@ module Make (P : PAYLOAD) = struct
           queues = Array.init (max 1 deg) (fun _ -> Queue.create ());
           queued = 0;
           own_sent = 0;
+          own_received = 0;
           changes = 0;
           phase = -1;
           ss_id = 0;
@@ -235,12 +256,15 @@ module Make (P : PAYLOAD) = struct
       (* ---- barrier state ---- *)
       let sched = ref { loop = [||]; times = 0; tail = [||] }
       and seg = ref 0
-      and superstep = ref 0
+      and superstep = ref 0  (* supersteps (lockstep) or probes (free) so far *)
       and in_superstep = ref false
       and done_sent = ref false
       and done_children = ref 0
       and children_sent = ref 0
+      and children_received = ref 0
       and children_changes = ref 0
+      and last_probe = ref (-1, -1)  (* root: (sent, received) of the previous probe *)
+      and got_payload = ref false  (* a payload message arrived this round *)
       and since_first = ref 0  (* root: changes since the loop's first segment closed *)
       and phase_start = ref 0
       and last_drain = ref (-1)
@@ -289,16 +313,32 @@ module Make (P : PAYLOAD) = struct
         else !sched.tail.(s - looped ())
       in
       let kind () = (segment !seg).kind in
-      (* barrier snapshot: the protocol queues this superstep's offers *)
-      let snapshot () =
+      let free () = (segment !seg).mode = Free in
+      (* a probe of the Done convergecast opens: touches barrier state only *)
+      let open_probe () =
         in_superstep := true;
         done_sent := false;
         done_children := 0;
         children_sent := 0;
-        children_changes := 0;
-        v.own_sent <- 0;
+        children_received := 0;
+        children_changes := 0
+      in
+      (* a (local) superstep: the protocol queues its offers *)
+      let flush () =
         v.ss_id <- v.ss_id + 1;
         st.snapshot (kind ())
+      in
+      (* counts restart with each lockstep superstep, and with a segment of
+         either mode *)
+      let reset_counts () =
+        v.own_sent <- 0;
+        v.own_received <- 0
+      in
+      let open_segment () =
+        reset_counts ();
+        st.seg_start (kind ());
+        open_probe ();
+        flush ()
       in
       let open_phase () =
         v.phase <- v.phase + 1;
@@ -313,8 +353,7 @@ module Make (P : PAYLOAD) = struct
           if is_root then phase_start := T.round ();
           sched := plan.schedules.(v.phase);
           st.seed ();
-          st.seg_start (kind ());
-          snapshot ()
+          open_segment ()
         end
       in
       let on_next target =
@@ -330,10 +369,17 @@ module Make (P : PAYLOAD) = struct
             st.phase_end ();
             open_phase ()
           end
-          else begin
-            st.seg_start (kind ());
-            snapshot ()
-          end
+          else open_segment ()
+        end
+      in
+      (* Advance: a lockstep segment's next superstep, a free segment's next
+         probe *)
+      let on_advance () =
+        incr superstep;
+        open_probe ();
+        if not (free ()) then begin
+          reset_counts ();
+          flush ()
         end
       in
       let start_phases () =
@@ -373,6 +419,7 @@ module Make (P : PAYLOAD) = struct
               (Done
                  {
                    sent = v.own_sent + !children_sent;
+                   received = v.own_received + !children_received;
                    changes = v.changes + !children_changes;
                  });
             v.changes <- 0
@@ -402,44 +449,79 @@ module Make (P : PAYLOAD) = struct
           if !echoes = !bfs_children then
             if is_root then start_phases ()
             else send_ctrl !bfs_parent_port Bfs_echo
-        | Done { sent; changes } ->
+        | Done { sent; received; changes } ->
           incr done_children;
           children_sent := !children_sent + sent;
+          children_received := !children_received + received;
           children_changes := !children_changes + changes
         | Advance ->
           if port = !bfs_parent_port then begin
             bc_down Advance;
-            incr superstep;
-            snapshot ()
+            on_advance ()
           end
         | Next { target } ->
           if port = !bfs_parent_port then begin
             bc_down m;
             on_next target
           end
-        | Data d -> st.data port d
+        | Abort ->
+          if port = !bfs_parent_port then begin
+            bc_down Abort;
+            v.finished <- true
+          end
+        | Data d ->
+          v.own_received <- v.own_received + 1;
+          got_payload := true;
+          st.data port d
       in
       let run_action = function
         | Echo_check ->
           if !bfs_children = 0 then
             if is_root then start_phases ()
             else send_ctrl !bfs_parent_port Bfs_echo
-        | Decide ->
-          let total = v.own_sent + !children_sent in
+        | Decide -> (
+          let sent = v.own_sent + !children_sent
+          and received = v.own_received + !children_received in
           since_first := !since_first + v.changes + !children_changes;
           v.changes <- 0;
-          incr superstep;
-          if total = 0 || !superstep >= (segment !seg).budget then begin
-            let target = next_segment ~quiescent:(total = 0) in
+          let close ~quiescent =
+            let target = next_segment ~quiescent in
             if target >= n_segs () then
               marks := (v.phase, T.round () - !phase_start) :: !marks;
             bc_down (Next { target });
             on_next target
-          end
-          else begin
+          in
+          let advance () =
             bc_down Advance;
-            snapshot ()
-          end
+            on_advance ()
+          in
+          match (segment !seg).mode with
+          | Lockstep budget ->
+            if sent = 0 || !superstep + 1 >= budget then close ~quiescent:(sent = 0)
+            else advance ()
+          | Free ->
+            (* counting close: nothing sent at all, or two consecutive
+               probes with the same balanced totals *)
+            if sent = 0 || (sent = received && !last_probe = (sent, received)) then begin
+              last_probe := (-1, -1);
+              close ~quiescent:true
+            end
+            else if !superstep + 1 >= probe_cap n then begin
+              fail v
+                (Stalled
+                   {
+                     vertex = me;
+                     round = T.round ();
+                     phase = name v.phase;
+                     superstep = !superstep + 1;
+                   });
+              bc_down Abort;
+              v.finished <- true
+            end
+            else begin
+              last_probe := (sent, received);
+              advance ()
+            end)
         | Complete -> maybe_complete ()
         | Watchdog ->
           (* Typed-failure path under crash-stop faults: a vertex that has
@@ -521,6 +603,11 @@ module Make (P : PAYLOAD) = struct
              deferral) *)
           List.iter (fun (p, m) -> match m with Data _ -> () | _ -> handle (p, m)) inbox;
           List.iter (fun (p, m) -> match m with Data _ -> handle (p, m) | _ -> ()) inbox;
+          (* a free segment's local superstep: forward what just arrived *)
+          if !got_payload then begin
+            got_payload := false;
+            if free () && not v.finished then flush ()
+          end;
           check_dead ();
           let rec run_due () =
             match !agenda with

@@ -8,20 +8,60 @@
 
     + setup: the root (vertex 0) floods a BFS tree whose echo tells it when
       every vertex has a parent; it then opens phase 0;
-    + a {e phase} is a sequence of {e segments}, each a sequence of
-      root-synchronized {e supersteps}. At a superstep's barrier snapshot
-      the protocol queues its offers; a vertex reports [Done] (with the
-      number of payload messages its subtree sent and the number of state
-      changes its subtree noted, {!Make.note_change}) up the tree once its
-      queues are drained and all its children reported. The root decides
-      one round later: [Advance] opens the next superstep, [Next] closes the
-      segment — on quiescence (a superstep that sent nothing) or when the
-      segment's budget of supersteps is spent — and names the segment every
-      vertex opens next. The one-round deferral lets phase/superstep tags go
-      unsent: an [Advance]/[Next] reaches any vertex strictly after every
-      payload message of the superstep it closes (BFS depths of graph
-      neighbours differ by at most 1), and each inbox is handled control
-      first;
+    + a {e phase} is a sequence of {e segments}. A {e lockstep} segment is
+      a sequence of root-synchronized {e supersteps}. At a superstep's
+      barrier snapshot the protocol queues its offers; a vertex reports
+      [Done] (with the number of payload messages its subtree sent and
+      received and the number of state changes its subtree noted,
+      {!Make.note_change}) up the tree once its queues are drained and all
+      its children reported. The root decides one round later: [Advance]
+      opens the next superstep, [Next] closes the segment — on quiescence (a
+      superstep that sent nothing) or when the segment's budget of
+      supersteps is spent — and names the segment every vertex opens next.
+      The one-round deferral lets phase/superstep tags go unsent: an
+      [Advance]/[Next] reaches any vertex strictly after every payload
+      message of the superstep it closes (BFS depths of graph neighbours
+      differ by at most 1), and each inbox is handled control first;
+    + a {e free} segment has no barrier per hop. The engine runs the
+      protocol's [snapshot] once when the segment opens, then again in every
+      round in which the vertex received payload (a {e local} superstep: it
+      bumps {!Make.superstep_id} and touches no barrier state), so payload
+      moves on arrival, one hop per round. The same [Done]/[Advance]
+      convergecast then only counts: each round trip is a {e probe}, and
+      [sent] and [received] are cumulative since the segment opened, so a
+      send or receipt after a vertex's [Done] shows in the next probe. The
+      root closes the segment at the first probe whose total [sent] is 0,
+      or when two consecutive probes report the same totals with
+      [sent = received] (Mattern's counting method).
+
+      One balanced probe is not enough once a receipt can cause several
+      sends: a late receipt at [x] fans out to [y] and [z], [y]'s receipt
+      is counted, [z]'s is still in flight, and the totals balance. Two
+      equal probes are enough: every count of the first is read no later
+      than the root's decision on it, every count of the second after it,
+      and counts only grow, so at that decision at most [S₂ − R₁ = 0]
+      messages are in flight. A vertex sends only when the segment opens
+      ([seg_start] and the first [snapshot], counted before its first
+      [Done]) or on a receipt, so nothing moves afterwards and the segment
+      is over. A free segment never closes on a
+      budget: one that has not balanced after [2n + 4] probes ends the run
+      with a [Stalled] failure at the root, which tells every vertex to
+      stop.
+
+      The close keeps the timing of [Next]: it leaves the root at round [T]
+      and reaches depth [d] at [T + d]. A vertex at depth [d] sends
+      next-segment payload from [T + d] on, and payload moves at most one
+      hop per round, so it reaches a neighbour (depth at most [d + 1]) no
+      earlier than [T + d + 1]: never before that neighbour's own [Next],
+      and a same-round arrival is handled after the control message. No
+      payload of the closed segment is left to arrive.
+
+      A segment may be free only if its result does not depend on the
+      order in which payload arrives: an order-independent fixpoint, or
+      proposals buffered and committed in [seg_end]. A hop-bounded wave
+      stays lockstep, because its budget counts supersteps and a tie-break
+      stamped with the superstep must see each superstep's arrivals
+      together;
     + a phase's segments are a {!schedule}: a loop of segments run up to
       [times] passes, then a tail. The loop ends early at its {e fixpoint}:
       when the loop's first segment closes on quiescence, in any pass but
@@ -52,7 +92,9 @@ type failure =
   | Stalled of { vertex : int; round : int; phase : string; superstep : int }
       (** watchdog: no message traffic and no barrier progress for a whole
           interval — the typed outcome of a wedged run (e.g. a crash-stop
-          fault partitioning the barrier tree) instead of a hang *)
+          fault partitioning the barrier tree) instead of a hang; or, at
+          the root, a free segment that did not balance within [2n + 4]
+          probes ([superstep] = probes run) *)
   | Link_lost of { vertex : int; neighbor : int; reason : string }
       (** the reliable layer declared an incident edge dead; every edge
           carries wave data, so the run cannot complete *)
@@ -75,9 +117,14 @@ module type PAYLOAD = sig
   val decode : Congest.Slab.t -> int -> t
 end
 
+(** How a segment runs: [Lockstep budget] is a sequence of barrier-closed
+    supersteps, closed on quiescence or after [budget] of them; [Free]
+    forwards payload on arrival and closes on the counting probe. *)
+type mode = Lockstep of int | Free
+
 type 's segment = {
   kind : 's;  (** the protocol's name for what the segment does *)
-  budget : int;  (** supersteps after which the root closes the segment *)
+  mode : mode;
 }
 
 (** A phase's segments: [loop] run [times] passes (fewer once it reaches
@@ -102,10 +149,15 @@ type 's plan = {
     on the vertex's own state. *)
 type ('p, 's) steps = {
   seed : unit -> unit;  (** a phase opens *)
-  seg_start : 's -> unit;  (** a segment opens, just before its first snapshot *)
+  seg_start : 's -> unit;
+      (** a segment opens, just before its first snapshot; its sends count
+          in the segment's first superstep *)
   snapshot : 's -> unit;
-      (** a superstep opens: queue this superstep's offers *)
-  data : int -> 'p -> unit;  (** a payload message arrived on this port *)
+      (** a superstep opens (in a free segment: the segment opens, or
+          payload arrived this round): queue this superstep's offers *)
+  data : int -> 'p -> unit;
+      (** a payload message arrived on this port; in a free segment it may
+          send, and the send is counted like the snapshot's *)
   seg_end : 's -> unit;  (** the root closed the segment *)
   phase_end : unit -> unit;  (** after the last segment's [seg_end] *)
   words : unit -> int;
@@ -134,8 +186,9 @@ module Make (P : PAYLOAD) : sig
   (** The open phase; [-1] during setup. *)
 
   val superstep_id : vertex -> int
-  (** Counts every superstep this vertex opened, across segments and
-      phases — a stamp for commits that may only tie within one superstep. *)
+  (** Counts every superstep this vertex opened, the local ones of free
+      segments included, across segments and phases — a stamp for commits
+      that may only tie within one superstep. *)
 
   val send : vertex -> int -> P.t -> unit
   (** Queue a payload message on a port. *)

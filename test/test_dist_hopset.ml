@@ -21,14 +21,14 @@ let fail_failures what fs =
 (* Run the whole pipeline on one rng state: the exact stage leaves [r]
    positioned for the hopset level draw, a copy captured there seeds the
    gate's centralized re-computation. *)
-let run_gate ?b ?params ~seed ~k g =
+let run_gate ?b ?params ?faults ?domains ~seed ~k g =
   let r = rng seed in
-  let ds = Routing.Dist_scheme.run ~rng:r ~k ?b ~max_rounds:500_000 g in
+  let ds = Routing.Dist_scheme.run ~rng:r ~k ?b ?faults ?domains ~max_rounds:500_000 g in
   if ds.Routing.Dist_scheme.failures <> [] then
     fail_failures "exact stage" ds.Routing.Dist_scheme.failures;
   let rgate = Random.State.copy r in
   let o =
-    Routing.Dist_hopset.run ~rng:r ?params ~max_rounds:500_000 g ds
+    Routing.Dist_hopset.run ~rng:r ?params ?faults ?domains ~max_rounds:500_000 g ds
   in
   if o.Routing.Dist_hopset.failures <> [] then
     fail_failures "upper stage" o.Routing.Dist_hopset.failures;
@@ -113,6 +113,29 @@ let test_gate_sampled_agrees_with_exact () =
           (Routing.Dist_scheme.gate_mode_name mode)
           (List.length errs) (concat_take 5 errs))
     [ 1; 8; 1000 (* > population: degenerates to exhaustive *) ]
+
+let test_gate_order_independent () =
+  (* Free segments (run A's waves, run B's relays and recovery) forward
+     payload on arrival. Over Reliable with delays and on two domains both
+     gates stay clean and the upper stage is the fault-free one, on a unit
+     grid (every path ties) and on ER *)
+  let delay = Congest.Fault.make { Congest.Fault.none with delay = 0.2; seed = 5 } in
+  let check ~seed g =
+    let _, clean = run_gate ~seed ~k:3 g in
+    List.iter
+      (fun (what, faults, domains) ->
+        let ds, o = run_gate ?faults ?domains ~seed ~k:3 g in
+        (match Routing.Dist_scheme.check_against_centralized ~rng:(rng seed) g ds with
+        | [] -> ()
+        | errs -> Alcotest.failf "%s: exact stage: %s" what (concat_take 5 errs));
+        if o.Routing.Dist_hopset.upper <> clean.Routing.Dist_hopset.upper then
+          Alcotest.failf "%s: upper stage differs from the fault-free run" what)
+      [ ("reliable, delay 0.2", Some delay, None); ("2 domains", None, Some 2) ]
+  in
+  check ~seed:21 (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ());
+  check ~seed:22
+    (Gen.connected_erdos_renyi ~rng:(rng 2)
+       ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ())
 
 (* ---------- the fixpoint exit: free and exact ---------- *)
 
@@ -222,36 +245,36 @@ let check_golden ~seed g ~rounds ~messages ~phases =
 let test_golden_counts () =
   check_golden ~seed:21
     (Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 ())
-    ~rounds:3760 ~messages:20937
+    ~rounds:1933 ~messages:15176
     ~phases:
       [
         ("hopset setup (BFS)", 27, 20);
-        ("hopset levels 1", 200, 20);
-        ("hopset levels 2", 225, 20);
-        ("hopset bunches level 0", 175, 92);
-        ("hopset bunches level 1", 175, 36);
-        ("hopset bunches level 2", 325, 36);
+        ("hopset levels 1", 75, 20);
+        ("hopset levels 2", 75, 20);
+        ("hopset bunches level 0", 75, 92);
+        ("hopset bunches level 1", 75, 36);
+        ("hopset bunches level 2", 75, 36);
         ("approx setup (BFS)", 27, 112);
-        ("approx pivots level 2", 532, 156);
-        ("approx clusters level 1", 1241, 672);
-        ("approx clusters level 2", 809, 428);
+        ("approx pivots level 2", 330, 142);
+        ("approx clusters level 1", 597, 424);
+        ("approx clusters level 2", 553, 270);
       ];
   check_golden ~seed:22
     (Gen.connected_erdos_renyi ~rng:(rng 2)
        ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:4.0 ())
-    ~rounds:1081 ~messages:21496
+    ~rounds:721 ~messages:19072
     ~phases:
       [
         ("hopset setup (BFS)", 11, 20);
-        ("hopset levels 1", 54, 20);
+        ("hopset levels 1", 27, 20);
         ("hopset levels 2", 9, 20);
-        ("hopset bunches level 0", 45, 84);
-        ("hopset bunches level 1", 75, 108);
+        ("hopset bunches level 0", 27, 84);
+        ("hopset bunches level 1", 30, 88);
         ("hopset bunches level 2", 9, 20);
         ("approx setup (BFS)", 11, 109);
-        ("approx pivots level 2", 136, 173);
-        ("approx clusters level 1", 316, 539);
-        ("approx clusters level 2", 407, 404);
+        ("approx pivots level 2", 104, 121);
+        ("approx clusters level 1", 228, 361);
+        ("approx clusters level 2", 257, 236);
       ]
 
 (* ---------- traced phase spans carry the measured peaks ---------- *)
@@ -451,6 +474,8 @@ let () =
           Alcotest.test_case "lambda=2" `Quick test_gate_lambda2;
           Alcotest.test_case "sampled gate agrees with exact" `Quick
             test_gate_sampled_agrees_with_exact;
+          Alcotest.test_case "order-independent (delay, 2 domains)" `Quick
+            test_gate_order_independent;
         ] );
       qsuite "identity" [ prop_hopset_identical ];
       ( "pinned",
